@@ -21,7 +21,7 @@
 
 #include "bench_util.h"
 #include "core/repair.h"
-#include "runtime/recovery.h"
+#include "runtime/engine.h"
 #include "sim/faults.h"
 
 namespace {
@@ -99,8 +99,7 @@ void run_cell(const CellCase& cc, int request_count,
   }
   const double healthy_us = healthy.total_seconds * 1e6;
 
-  const sq::runtime::FaultTolerantEngine eng(cell.cluster, cell.model,
-                                             planned.plan);
+  const sq::runtime::OfflineEngine eng(cell.cluster, cell.model, planned.plan);
   for (const Scenario& sc : scenarios(sq::bench::bench_smoke())) {
     const FaultSchedule schedule = sc.make(healthy_us, cell.cluster.device_count());
 

@@ -99,7 +99,6 @@
 #include "model/registry.h"
 #include "quality/quality_model.h"
 #include "runtime/engine.h"
-#include "runtime/recovery.h"
 #include "sim/faults.h"
 #include "workload/arrivals.h"
 #include "workload/profile.h"
@@ -668,6 +667,11 @@ int main(int argc, char** argv) {
 
     runtime::ContinuousOptions copts;
     copts.num_threads = args.threads;
+    runtime::OfflineEngine engine(
+        cluster, m, r.plan,
+        args.custom_backend ? runtime::Backend::kCustom
+                            : runtime::Backend::kVllmStyle);
+    engine.set_observe(!args.metrics.empty());
     runtime::RequestStats rs;
     if (!args.faults.empty()) {
       sim::FaultSchedule schedule;
@@ -677,11 +681,6 @@ int main(int argc, char** argv) {
       }
       std::printf("faults:   %s\n",
                   schedule.empty() ? "(none)" : schedule.to_spec().c_str());
-      runtime::FaultTolerantEngine engine(
-          cluster, m, r.plan,
-          args.custom_backend ? runtime::Backend::kCustom
-                              : runtime::Backend::kVllmStyle);
-      engine.set_observe(!args.metrics.empty());
       runtime::RecoveryOptions ropts;
       if (!schedule.empty()) ropts.faults = &schedule;
       if (!args.no_repair) {
@@ -690,11 +689,6 @@ int main(int argc, char** argv) {
       }
       rs = engine.serve_continuous(arrivals, ropts, copts);
     } else {
-      runtime::OfflineEngine engine(
-          cluster, m, r.plan,
-          args.custom_backend ? runtime::Backend::kCustom
-                              : runtime::Backend::kVllmStyle);
-      engine.set_observe(!args.metrics.empty());
       rs = engine.serve_continuous(arrivals, copts);
     }
 
@@ -744,7 +738,7 @@ int main(int argc, char** argv) {
     }
     std::printf("faults:   %s\n", schedule.empty() ? "(none)" : schedule.to_spec().c_str());
 
-    runtime::FaultTolerantEngine engine(
+    runtime::OfflineEngine engine(
         cluster, m, r.plan,
         args.custom_backend ? runtime::Backend::kCustom
                             : runtime::Backend::kVllmStyle);

@@ -6,7 +6,7 @@
 namespace sq::common {
 
 int resolve_threads(int requested) {
-  if (requested > 0) return requested;
+  if (requested != 0) return std::max(requested, 1);
   const unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? static_cast<int>(hw) : 1;
 }

@@ -27,12 +27,6 @@ std::unique_ptr<sq::common::ThreadPool> make_pool(int num_threads) {
   return n > 1 ? std::make_unique<sq::common::ThreadPool>(n) : nullptr;
 }
 
-/// The shared stage-time cache of the validation simulator is part of the
-/// parallel search machinery; `num_threads == 1` asks for the legacy
-/// sequential path, which recomputes everything.  Either way the values —
-/// and therefore the chosen plan — are bit-for-bit identical.
-bool memoize_of(const PlannerConfig& cfg) { return cfg.num_threads != 1; }
-
 /// Per-task winner of a baseline sweep, reduced across tasks in
 /// enumeration order so ties resolve exactly as the sequential loops did.
 struct SweepBest {
@@ -459,8 +453,7 @@ PlanResult Planner::plan(const PlannerConfig& cfg) const {
           const auto plan =
               ctx.to_plan(c.seed.group_stage, c.seed.group_bit, "probe");
           const std::uint64_t b = inputs[c.input].workload.batch_size;
-          scores[i] = validation_score(plan, b, cfg.theta, c.seed.eval.omega,
-                                       memoize_of(cfg));
+          scores[i] = validation_score(plan, b, cfg.theta, c.seed.eval.omega);
         });
     double best_score = std::numeric_limits<double>::infinity();
     for (int i = 0; i < check_k; ++i) {
@@ -494,7 +487,7 @@ PlanResult Planner::plan(const PlannerConfig& cfg) const {
   // the chosen plan but the profiling run says otherwise, adopt them.
   if (cfg.validate_top_k > 1) {
     double chosen = validation_score(r.plan, r.planned_batch, cfg.theta,
-                                     r.total_omega, memoize_of(cfg));
+                                     r.total_omega);
     for (const PlanResult& alt :
          {plan_uniform(cfg), plan_het(cfg), plan_adabits(cfg)}) {
       if (!alt.feasible) continue;
@@ -503,7 +496,7 @@ PlanResult Planner::plan(const PlannerConfig& cfg) const {
         continue;  // would violate the quality budget
       }
       const double t = validation_score(alt.plan, alt.planned_batch, cfg.theta,
-                                        alt.total_omega, memoize_of(cfg));
+                                        alt.total_omega);
       if (t < chosen * (1.0 - 1e-9)) {
         chosen = t;
         r.plan = alt.plan;
@@ -530,14 +523,12 @@ PlanResult Planner::plan(const PlannerConfig& cfg) const {
 }
 
 double Planner::validation_score(const sq::sim::ExecutionPlan& plan,
-                                 std::uint64_t batch, double theta, double omega,
-                                 bool memoize) const {
+                                 std::uint64_t batch, double theta,
+                                 double omega) const {
   // Run the plan through the actual serving engine (wave capping and
   // per-wave micro-batch clamping included) on two calibration shapes:
   // the planning batch and a half-prompt variant.
-  const sq::runtime::OfflineEngine engine(
-      cluster_, model_, plan, sq::runtime::Backend::kVllmStyle,
-      {.ground_truth = true, .seed = 11}, memoize);
+  const sq::runtime::OfflineEngine engine(cluster_, model_, plan);
   std::vector<sq::sim::BatchWorkload> batches;
   for (const double frac : {1.5, 1.0, 0.55}) {
     sq::sim::BatchWorkload w = workload_;

@@ -53,13 +53,12 @@ struct PlannerConfig {
   IndicatorKind indicator = IndicatorKind::kVariance;
   std::uint64_t seed = 17;
   /// Worker threads for the candidate search (greedy scoring, refinement,
-  /// ILP solves, validation runs): 0 = hardware concurrency, 1 = the
-  /// legacy sequential path (which also bypasses the shared stage-time
-  /// cache, reproducing the pre-parallel planner exactly).  The chosen
-  /// plan is identical bit-for-bit for every thread count — candidates
-  /// carry a stable enumeration index and all reductions tie-break on it,
-  /// never on completion order, and cached cost values equal recomputed
-  /// ones bit-for-bit.
+  /// ILP solves, validation runs): 0 = hardware concurrency, 1 = run
+  /// inline on the calling thread.  Every thread count runs the same path
+  /// through the shared stage-time cache.  The chosen plan is identical
+  /// bit-for-bit for every thread count — candidates carry a stable
+  /// enumeration index and all reductions tie-break on it, never on
+  /// completion order.
   int num_threads = 0;
 };
 
@@ -127,7 +126,7 @@ class Planner {
   /// per-request latency plus the theta-weighted quality penalty (lower is
   /// better); infinity on OOM.
   double validation_score(const sq::sim::ExecutionPlan& plan, std::uint64_t batch,
-                          double theta, double omega, bool memoize) const;
+                          double theta, double omega) const;
 
   const sq::model::LlmSpec& model_;
   const sq::hw::Cluster& cluster_;

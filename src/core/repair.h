@@ -1,5 +1,5 @@
-// Plan repair: the core-side Replanner factory the fault-tolerant engine
-// invokes after a permanent device failure.
+// Plan repair: the core-side Replanner factory OfflineEngine's recovery
+// loop invokes after a permanent device failure.
 //
 // Repair is just planning on the degraded cluster — the same assigner, the
 // same memoized cost-model fits and stage-time caches (devices that did

@@ -16,12 +16,7 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/// Deterministic seconds rendering for the event log.
-std::string fmt_s(double us) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.3fs", us * 1e-6);
-  return buf;
-}
+using sq::runtime::log_time;
 
 std::string fmt_pct(double frac) {
   char buf[64];
@@ -31,19 +26,13 @@ std::string fmt_pct(double frac) {
 
 /// Current flat index of base device `base`, -1 when not held.
 int flat_of_base(const std::vector<int>& to_base, int base) {
-  for (std::size_t i = 0; i < to_base.size(); ++i) {
-    if (to_base[i] == base) return static_cast<int>(i);
-  }
-  return -1;
+  const auto it = std::find(to_base.begin(), to_base.end(), base);
+  return it == to_base.end() ? -1 : static_cast<int>(it - to_base.begin());
 }
 
-/// The serving state a membership change replaces atomically.
-struct MemberState {
-  sq::hw::Cluster cluster;
-  std::vector<int> to_base;  ///< Flat index -> stable base id.
-  sq::sim::ExecutionPlan plan;
-  double predicted_tok_s = 0.0;
-};
+/// The serving state a membership change replaces atomically; its
+/// `to_original` maps flat indices to stable base ids.
+using MemberState = sq::runtime::ReplicaGroup;
 
 /// Changes staged by event application, adopted after the in-flight
 /// settlement (drain needs the OLD state to finish on).
@@ -77,13 +66,11 @@ bool migration_policy_from_string(const std::string& s, MigrationPolicy* out) {
 ElasticFleetEngine::ElasticFleetEngine(sq::model::LlmSpec model,
                                        std::vector<sq::runtime::ReplicaGroup> groups,
                                        sq::runtime::Backend backend,
-                                       sq::sim::KernelModelOptions kernel,
-                                       bool memoize)
+                                       sq::sim::KernelModelOptions kernel)
     : model_(std::move(model)),
       groups_(std::move(groups)),
       backend_(backend),
-      kernel_(kernel),
-      memoize_(memoize) {}
+      kernel_(kernel) {}
 
 ElasticStats ElasticFleetEngine::serve(
     const std::vector<sq::runtime::FleetJob>& jobs,
@@ -92,7 +79,7 @@ ElasticStats ElasticFleetEngine::serve(
 
   // ---- Empty timeline: exact FleetEngine delegation (byte-identity). ---
   if (opts.timeline == nullptr || opts.timeline->empty()) {
-    sq::runtime::FleetEngine fe(model_, groups_, backend_, kernel_, memoize_);
+    sq::runtime::FleetEngine fe(model_, groups_, backend_, kernel_);
     fe.set_observe(observe_);
     if (prep_) fe.set_weight_prep(prep_);
     out.fleet = fe.serve(jobs, opts.fleet);
@@ -140,19 +127,15 @@ ElasticStats ElasticFleetEngine::serve(
   CostModel cost = opts.cost;
 
   // ---- Elastic serving state. ------------------------------------------
-  MemberState ms;
-  ms.cluster = groups_[0].cluster;
-  ms.to_base = groups_[0].to_original;
-  if (ms.to_base.empty()) {
-    ms.to_base.resize(static_cast<std::size_t>(ms.cluster.device_count()));
-    std::iota(ms.to_base.begin(), ms.to_base.end(), 0);
+  MemberState ms = groups_[0];
+  if (ms.to_original.empty()) {
+    ms.to_original.resize(static_cast<std::size_t>(ms.cluster.device_count()));
+    std::iota(ms.to_original.begin(), ms.to_original.end(), 0);
   }
-  ms.plan = groups_[0].plan;
-  ms.predicted_tok_s = groups_[0].predicted_tok_s;
   // Joined devices get fresh base ids past every initial id, so fault
   // schedules (which speak initial/base ids) can never hit them.
   int next_base = 0;
-  for (const int b : ms.to_base) next_base = std::max(next_base, b + 1);
+  for (const int b : ms.to_original) next_base = std::max(next_base, b + 1);
   std::vector<std::vector<int>> join_stack;  ///< Base ids per accepted join.
   int join_seq = 0;
 
@@ -176,15 +159,33 @@ ElasticStats ElasticFleetEngine::serve(
     last_charge_us = to_us;
   };
 
-  // Graceful-degradation replan ladder (same escalation as fault repair).
-  const auto ladder = [&](const sq::hw::Cluster& c,
-                          ElasticReplanOutcome* r) -> bool {
-    if (!opts.replan) {
-      r->failure = "no elastic replanner configured";
-      return false;
-    }
-    for (int attempt = 0; attempt < std::max(1, opts.max_replan_attempts);
-         ++attempt) {
+  // Adopt a staged change: charge the old membership up to now, swap the
+  // state in, re-prepare the changed bits.  Returns the switch penalty.
+  const auto adopt = [&](PendingChange& p) {
+    charge_to(fc_us);
+    const auto old_bits = ms.plan.layer_bits;
+    ms = std::move(p.next);
+    out.replans += p.switches;
+    if (prep_) prep_->reprepare(old_bits, ms.plan.layer_bits);
+    return p.switches * opts.replan_penalty_s * 1e6;
+  };
+
+  // Predicted tokens per dollar of serving `tok_s` on `c` (0 when free).
+  const auto tpd = [&](const sq::hw::Cluster& c, double tok_s) {
+    const double rate = cost.cluster_rate_per_s(c);
+    return rate > 0.0 ? tok_s / rate : 0.0;
+  };
+
+  // Rungs of the graceful-degradation ladder (same escalation as fault
+  // repair) over the elastic replanner; the last outcome lands in `*r` for
+  // its failure text and throughput estimate.
+  const auto rungs = [&](ElasticReplanOutcome* r) -> sq::runtime::PlanAttempt {
+    return [&, r](const sq::hw::Cluster& c,
+                  int attempt) -> std::optional<sq::sim::ExecutionPlan> {
+      if (!opts.replan) {
+        r->failure = "no elastic replanner configured";
+        return std::nullopt;
+      }
       *r = opts.replan(c, attempt);
       if (ob) {
         sq::obs::counter("elastic.replan.attempts").add();
@@ -192,17 +193,25 @@ ElasticStats ElasticFleetEngine::serve(
                            sq::obs::BucketLayout::kSeconds)
             .observe(r->solve_seconds);
       }
-      if (r->feasible) return true;
-    }
-    return false;
+      if (!r->feasible) return std::nullopt;
+      return r->plan;
+    };
+  };
+  // The shared plan-switch step shrinking `from` by the flat devices
+  // `excl`; the replanner's throughput estimate rides along.
+  const auto shrink = [&](const MemberState& from, const std::vector<int>& excl,
+                          ElasticReplanOutcome* r,
+                          const sq::runtime::WeightPrep* prep = nullptr) {
+    sq::runtime::PlanSwitch sw = sq::runtime::switch_plan(
+        from, excl, nullptr, rungs(r), opts.max_replan_attempts, 0, prep);
+    sw.next.predicted_tok_s = r->predicted_tok_s;
+    return sw;
   };
 
   // ---- Membership event application (stages a PendingChange). ----------
   const auto apply_due_events = [&](double now_us, std::uint64_t backlog,
                                     PendingChange* p) {
-    p->next = ms;
-    p->changed = false;
-    p->switches = 0;
+    *p = PendingChange{ms};
     while (ev < timeline.events.size() && timeline.events[ev].at_us <= now_us) {
       const MembershipEvent& e = timeline.events[ev];
       ++ev;
@@ -218,7 +227,9 @@ ElasticStats ElasticFleetEngine::serve(
         node.intra_gbps = 300.0;
         const sq::hw::Cluster grown = sq::hw::grow_cluster(p->next.cluster, node);
         ElasticReplanOutcome r;
-        const bool planned = ladder(grown, &r);
+        const bool planned =
+            sq::runtime::climb_ladder(rungs(&r), grown, opts.max_replan_attempts)
+                .has_value();
         bool accept = false;
         std::string reason;
         if (!planned) {
@@ -231,12 +242,8 @@ ElasticStats ElasticFleetEngine::serve(
         } else if (cooling) {
           reason = "cooldown";
         } else {
-          const double cur_rate = cost.cluster_rate_per_s(p->next.cluster);
-          const double new_rate = cost.cluster_rate_per_s(grown);
-          const double cur_tpd =
-              cur_rate > 0.0 ? p->next.predicted_tok_s / cur_rate : 0.0;
-          const double new_tpd =
-              new_rate > 0.0 ? r.predicted_tok_s / new_rate : 0.0;
+          const double cur_tpd = tpd(p->next.cluster, p->next.predicted_tok_s);
+          const double new_tpd = tpd(grown, r.predicted_tok_s);
           if (cur_tpd > 0.0 &&
               new_tpd >= cur_tpd * (1.0 + opts.autoscale.price_margin)) {
             accept = true;
@@ -248,13 +255,17 @@ ElasticStats ElasticFleetEngine::serve(
             reason = "tokens/$ gain below margin";
           }
         }
+        out.events.push_back("[" + log_time(e.at_us) + "] join " +
+                             (accept ? "accepted: " : "rejected: ") +
+                             std::to_string(e.count) + "x" +
+                             sq::hw::to_string(e.gpu) + " (" + reason + ")");
         if (accept) {
           ++out.joins_accepted;
           std::vector<int> fresh;
           for (int i = 0; i < e.count; ++i) fresh.push_back(next_base++);
           p->next.cluster = grown;
-          p->next.to_base.insert(p->next.to_base.end(), fresh.begin(),
-                                 fresh.end());
+          p->next.to_original.insert(p->next.to_original.end(), fresh.begin(),
+                                     fresh.end());
           p->next.plan = r.plan;
           p->next.predicted_tok_s = r.predicted_tok_s;
           p->changed = true;
@@ -262,14 +273,8 @@ ElasticStats ElasticFleetEngine::serve(
           join_stack.push_back(std::move(fresh));
           ++join_seq;
           if (opts.autoscale.enabled) last_scale_us = e.at_us;
-          out.events.push_back("[" + fmt_s(e.at_us) + "] join accepted: " +
-                               std::to_string(e.count) + "x" +
-                               sq::hw::to_string(e.gpu) + " (" + reason + ")");
         } else {
           ++out.joins_rejected;
-          out.events.push_back("[" + fmt_s(e.at_us) + "] join rejected: " +
-                               std::to_string(e.count) + "x" +
-                               sq::hw::to_string(e.gpu) + " (" + reason + ")");
         }
       } else if (e.kind == MemberEventKind::kLeave) {
         ++out.leaves;
@@ -282,42 +287,31 @@ ElasticStats ElasticFleetEngine::serve(
           excl.push_back(e.index);
         }
         if (excl.empty()) {
-          out.events.push_back("[" + fmt_s(e.at_us) + "] leave ignored: no " +
+          out.events.push_back("[" + log_time(e.at_us) + "] leave ignored: no " +
                                (e.whole_node ? "node " : "device ") +
                                std::to_string(e.index));
           continue;
         }
-        const sq::hw::DegradedCluster deg =
-            sq::hw::degrade_cluster(p->next.cluster, excl);
-        if (!deg.feasible) {
-          fatal = deg.failure;
-          out.events.push_back("[" + fmt_s(e.at_us) + "] leave: " + fatal);
-          return;
-        }
         ElasticReplanOutcome r;
-        if (!ladder(deg.cluster, &r)) {
-          fatal = "no feasible plan after leave: " + r.failure;
-          out.events.push_back("[" + fmt_s(e.at_us) + "] " + fatal);
+        sq::runtime::PlanSwitch sw = shrink(p->next, excl, &r);
+        if (!sw.ok) {
+          const bool no_plan = sw.failure.empty();
+          fatal = no_plan ? "no feasible plan after leave: " + r.failure
+                          : sw.failure;
+          out.events.push_back("[" + log_time(e.at_us) + "] " +
+                               (no_plan ? "" : "leave: ") + fatal);
           return;
         }
-        std::vector<int> chained;
-        chained.reserve(deg.to_original.size());
-        for (const int i : deg.to_original) {
-          chained.push_back(p->next.to_base[static_cast<std::size_t>(i)]);
-        }
-        p->next.cluster = deg.cluster;
-        p->next.to_base = std::move(chained);
-        p->next.plan = r.plan;
-        p->next.predicted_tok_s = r.predicted_tok_s;
+        p->next = std::move(sw.next);
         p->changed = true;
         ++p->switches;
-        out.events.push_back("[" + fmt_s(e.at_us) + "] leave: " +
+        out.events.push_back("[" + log_time(e.at_us) + "] leave: " +
                              std::to_string(excl.size()) + " device(s), now " +
                              p->next.cluster.summary());
       } else {  // kPrice
         ++out.price_events;
         cost.set_price(e.gpu, e.price);
-        out.events.push_back("[" + fmt_s(e.at_us) + "] price: " +
+        out.events.push_back("[" + log_time(e.at_us) + "] price: " +
                              std::string(sq::hw::to_string(e.gpu)) + " = $" +
                              std::to_string(e.price) + "/h");
         // Scale-to-price: release the most recent still-held join when
@@ -327,7 +321,7 @@ ElasticStats ElasticFleetEngine::serve(
           std::vector<int> excl;
           bool all_held = true;
           for (const int b : join_stack.back()) {
-            const int f = flat_of_base(p->next.to_base, b);
+            const int f = flat_of_base(p->next.to_original, b);
             if (f < 0) { all_held = false; break; }
             excl.push_back(f);
           }
@@ -335,36 +329,22 @@ ElasticStats ElasticFleetEngine::serve(
             join_stack.pop_back();  // Already gone (left/failed); try next.
             continue;
           }
-          const sq::hw::DegradedCluster deg =
-              sq::hw::degrade_cluster(p->next.cluster, excl);
-          if (!deg.feasible) break;
           ElasticReplanOutcome r;
-          if (!ladder(deg.cluster, &r)) break;
-          const double cur_rate = cost.cluster_rate_per_s(p->next.cluster);
-          const double shr_rate = cost.cluster_rate_per_s(deg.cluster);
-          const double cur_tpd =
-              cur_rate > 0.0 ? p->next.predicted_tok_s / cur_rate : 0.0;
-          const double shr_tpd =
-              shr_rate > 0.0 ? r.predicted_tok_s / shr_rate : 0.0;
+          sq::runtime::PlanSwitch sw = shrink(p->next, excl, &r);
+          if (!sw.ok) break;
+          const double cur_tpd = tpd(p->next.cluster, p->next.predicted_tok_s);
+          const double shr_tpd = tpd(sw.next.cluster, r.predicted_tok_s);
           if (cur_tpd <= 0.0 ||
               shr_tpd < cur_tpd * (1.0 + opts.autoscale.price_margin)) {
             break;
           }
           ++out.scale_downs;
-          std::vector<int> chained;
-          chained.reserve(deg.to_original.size());
-          for (const int i : deg.to_original) {
-            chained.push_back(p->next.to_base[static_cast<std::size_t>(i)]);
-          }
-          p->next.cluster = deg.cluster;
-          p->next.to_base = std::move(chained);
-          p->next.plan = r.plan;
-          p->next.predicted_tok_s = r.predicted_tok_s;
+          p->next = std::move(sw.next);
           p->changed = true;
           ++p->switches;
           join_stack.pop_back();
           last_scale_us = e.at_us;
-          out.events.push_back("[" + fmt_s(e.at_us) +
+          out.events.push_back("[" + log_time(e.at_us) +
                                "] scale-down: released a join, tokens/$ " +
                                fmt_pct(shr_tpd / cur_tpd - 1.0) + ", now " +
                                p->next.cluster.summary());
@@ -403,12 +383,7 @@ ElasticStats ElasticFleetEngine::serve(
       if (fatal.empty() && p.changed) {
         // No in-flight work between jobs: adopt directly, charge the
         // switch penalty as fleet time.
-        charge_to(fc_us);
-        const auto old_bits = ms.plan.layer_bits;
-        ms = std::move(p.next);
-        out.replans += p.switches;
-        if (prep_) prep_->reprepare(old_bits, ms.plan.layer_bits);
-        fc_us += p.switches * opts.replan_penalty_s * 1e6;
+        fc_us += adopt(p);
         charge_to(fc_us);
       }
     }
@@ -422,13 +397,7 @@ ElasticStats ElasticFleetEngine::serve(
     jo.start_s = fc0_us * 1e-6;
     const std::size_t n = job.arrivals.size();
 
-    sq::runtime::RequestStats total;
-    total.submitted = n;
-    total.requests.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      total.requests[i].id = i;
-      total.requests[i].arrive_s = job.arrivals[i].arrive_s;
-    }
+    sq::runtime::RequestStats total = sq::runtime::segment_total(job.arrivals);
 
     sq::sim::FaultSchedule local_sched;
     if (fleet_faults != nullptr && !fleet_faults->events.empty()) {
@@ -459,7 +428,7 @@ ElasticStats ElasticFleetEngine::serve(
         sub_resume.push_back(progress[id]);
       }
       sq::runtime::RequestScheduler sched(ms.cluster, model_, ms.plan, eff,
-                                          kernel_, memoize_);
+                                          kernel_);
       sched.set_observe(observe_);
       sq::runtime::ContinuousOptions c;
       c.num_threads = opts.fleet.num_threads;
@@ -469,51 +438,33 @@ ElasticStats ElasticFleetEngine::serve(
       c.stop_us = stop_local_us;
       c.resume = &sub_resume;
       c.faults = sched_ptr;
-      c.to_original = &ms.to_base;
+      c.to_original = &ms.to_original;
       sq::runtime::RequestStats st = sched.serve(sub, c);
 
-      total.completed += st.completed;
-      total.lost += st.lost;
-      total.preemptions += st.preemptions;
-      total.admission_blocked += st.admission_blocked;
-      total.iterations += st.iterations;
-      total.output_tokens += st.output_tokens;
-      total.faults_hit += st.faults_hit;
-      total.retries += st.retries;
-      total.kv_peak_utilization =
-          std::max(total.kv_peak_utilization, st.kv_peak_utilization);
-      for (const auto& e : st.events) total.events.push_back(e);
-      incomplete->clear();
+      sq::runtime::merge_segment(total, st, ids, incomplete);
       for (std::size_t si = 0; si < ids.size(); ++si) {
-        const std::size_t id = ids[si];
         const sq::runtime::RequestOutcome& o = st.requests[si];
-        sq::runtime::RequestOutcome& dst = total.requests[id];
-        if (o.completed) {
-          dst.completed = true;
-          dst.admit_s = o.admit_s;
-          dst.finish_s = o.finish_s;
-          dst.output_tokens = o.output_tokens;
-          dst.preemptions = o.preemptions;
-          progress[id] = -1;
-        } else if (o.lost) {
-          dst.lost = true;
-          progress[id] = -1;
-        } else {
-          incomplete->push_back(id);
-          if (o.in_flight) {
-            progress[id] = o.prefill_done
-                               ? static_cast<std::int64_t>(o.progress_tokens)
-                               : std::int64_t{-1};
-          }
+        std::int64_t& prog = progress[ids[si]];
+        if (o.completed || o.lost) {
+          prog = -1;
+        } else if (o.in_flight) {
+          prog = o.prefill_done ? static_cast<std::int64_t>(o.progress_tokens)
+                                : std::int64_t{-1};
         }
       }
       return st;
     };
 
+    // Move the fleet clock to the job-local one and charge the held devices.
+    const auto sync_fleet_clock = [&] {
+      fc_us = fc0_us + jl_us;
+      charge_to(fc_us);
+    };
+
     const auto lose_remaining = [&](const std::string& why) {
       total.lost += remaining.size();
       for (const std::size_t id : remaining) total.requests[id].lost = true;
-      total.events.push_back("[" + fmt_s(jl_us) + "] " + why + " (" +
+      total.events.push_back("[" + log_time(jl_us) + "] " + why + " (" +
                              std::to_string(remaining.size()) + " requests)");
       remaining.clear();
       job_failed = true;
@@ -534,14 +485,13 @@ ElasticStats ElasticFleetEngine::serve(
         break;
       }
       jl_us = (st.stopped ? st.stop_s : st.total_seconds) * 1e6;
-      fc_us = fc0_us + jl_us;
-      charge_to(fc_us);
+      sync_fleet_clock();
       remaining = std::move(incomplete);
 
       if (st.fault_permanent) {
         // Permanent failure: the device's KV is GONE — unlike a graceful
-        // leave, in-flight work always restarts.  Repair mirrors the
-        // fault-tolerant engine: exclude, replan, resume.
+        // leave, in-flight work always restarts.  Repair runs the shared
+        // plan-switch step: exclude, replan, resume.
         ++total.repairs_attempted;
         for (const std::size_t id : remaining) {
           if (progress[id] >= 0) {
@@ -549,42 +499,26 @@ ElasticStats ElasticFleetEngine::serve(
             progress[id] = -1;
           }
         }
-        const int flat = flat_of_base(ms.to_base, st.fault_device);
+        const int flat = flat_of_base(ms.to_original, st.fault_device);
         if (flat < 0) {
           lose_remaining("failed device unknown to the elastic group");
           break;
         }
-        const sq::hw::DegradedCluster deg =
-            sq::hw::degrade_cluster(ms.cluster, {flat});
-        if (!deg.feasible) {
-          fatal = deg.failure;
-          lose_remaining(fatal);
-          break;
-        }
         ElasticReplanOutcome r;
-        if (!ladder(deg.cluster, &r)) {
-          fatal = "no feasible repair plan: " + r.failure;
+        sq::runtime::PlanSwitch sw = shrink(ms, {flat}, &r, prep_.get());
+        if (!sw.ok) {
+          fatal = sw.failure.empty() ? "no feasible repair plan: " + r.failure
+                                     : sw.failure;
           lose_remaining(fatal);
           break;
         }
-        std::vector<int> chained;
-        chained.reserve(deg.to_original.size());
-        for (const int i : deg.to_original) {
-          chained.push_back(ms.to_base[static_cast<std::size_t>(i)]);
-        }
-        const auto old_bits = ms.plan.layer_bits;
-        ms.cluster = deg.cluster;
-        ms.to_base = std::move(chained);
-        ms.plan = std::move(r.plan);
-        ms.predicted_tok_s = r.predicted_tok_s;
-        if (prep_) prep_->reprepare(old_bits, ms.plan.layer_bits);
+        ms = std::move(sw.next);
         ++total.repairs_succeeded;
         ++total.final_generation;
         ++out.replans;
         jl_us += opts.fleet.replan_penalty_s * 1e6;
-        fc_us = fc0_us + jl_us;
-        charge_to(fc_us);
-        total.events.push_back("[" + fmt_s(jl_us) + "] repaired after device " +
+        sync_fleet_clock();
+        total.events.push_back("[" + log_time(jl_us) + "] repaired after device " +
                                std::to_string(st.fault_device) + " failed: " +
                                ms.cluster.summary());
         continue;
@@ -615,8 +549,7 @@ ElasticStats ElasticFleetEngine::serve(
           const sq::runtime::RequestStats ds =
               serve_segment(drain_ids, kInf, &drain_left);
           jl_us = ds.total_seconds * 1e6;
-          fc_us = fc0_us + jl_us;
-          charge_to(fc_us);
+          sync_fleet_clock();
           std::vector<std::size_t> merged;
           for (const std::size_t id : remaining) {
             const auto& o = total.requests[id];
@@ -627,26 +560,17 @@ ElasticStats ElasticFleetEngine::serve(
           if (ds.fault_permanent) {
             // A failure raced the drain: drop the drained progress and
             // exclude the device from the pending cluster too.
-            const int flat = flat_of_base(p.next.to_base, ds.fault_device);
+            const int flat = flat_of_base(p.next.to_original, ds.fault_device);
             if (flat >= 0) {
-              const sq::hw::DegradedCluster deg =
-                  sq::hw::degrade_cluster(p.next.cluster, {flat});
               ElasticReplanOutcome r;
-              if (!deg.feasible || !ladder(deg.cluster, &r)) {
-                fatal = !deg.feasible ? deg.failure
-                                      : "no feasible repair plan: " + r.failure;
+              sq::runtime::PlanSwitch sw = shrink(p.next, {flat}, &r);
+              if (!sw.ok) {
+                fatal = sw.failure.empty() ? "no feasible repair plan: " + r.failure
+                                           : sw.failure;
                 lose_remaining("no serving capacity remains: " + fatal);
                 break;
               }
-              std::vector<int> chained;
-              chained.reserve(deg.to_original.size());
-              for (const int i : deg.to_original) {
-                chained.push_back(p.next.to_base[static_cast<std::size_t>(i)]);
-              }
-              p.next.cluster = deg.cluster;
-              p.next.to_base = std::move(chained);
-              p.next.plan = std::move(r.plan);
-              p.next.predicted_tok_s = r.predicted_tok_s;
+              p.next = std::move(sw.next);
               ++p.switches;
               ++total.repairs_succeeded;
               ++total.final_generation;
@@ -656,14 +580,9 @@ ElasticStats ElasticFleetEngine::serve(
       }
 
       // Adopt the staged membership change.
-      charge_to(fc_us);
-      const auto old_bits = ms.plan.layer_bits;
       const sq::hw::Bitwidth old_kv = ms.plan.kv_bits;
-      ms = std::move(p.next);
-      out.replans += p.switches;
+      jl_us += adopt(p);
       ++total.final_generation;
-      if (prep_) prep_->reprepare(old_bits, ms.plan.layer_bits);
-      jl_us += p.switches * opts.replan_penalty_s * 1e6;
 
       // Live migration: every request holding KV state re-transfers it to
       // the new layout over the inter-node fabric (restart drops it).
@@ -696,10 +615,10 @@ ElasticStats ElasticFleetEngine::serve(
           out.migration_s += moved_us * 1e-6;
           jl_us += moved_us;
           total.events.push_back(
-              "[" + fmt_s(jl_us) + "] migrated " + std::to_string(moved) +
+              "[" + log_time(jl_us) + "] migrated " + std::to_string(moved) +
               " in-flight request(s), " +
               std::to_string(static_cast<long long>(moved_bytes)) +
-              " KV bytes in " + fmt_s(moved_us));
+              " KV bytes in " + log_time(moved_us));
           if (ob) {
             migration_spans.push_back(
                 {"elastic.migration",
@@ -711,8 +630,7 @@ ElasticStats ElasticFleetEngine::serve(
           }
         }
       }
-      fc_us = fc0_us + jl_us;
-      charge_to(fc_us);
+      sync_fleet_clock();
     }
 
     total.total_seconds = jl_us * 1e-6;
@@ -725,7 +643,7 @@ ElasticStats ElasticFleetEngine::serve(
       jo.failure = total.failure.empty() ? "serving aborted" : total.failure;
     }
     out.fleet.events.push_back(
-        "job '" + job.name + "' [" + fmt_s(fc0_us) + " .. " + fmt_s(fc_us) +
+        "job '" + job.name + "' [" + log_time(fc0_us) + " .. " + log_time(fc_us) +
         "] " +
         (jo.completed
              ? std::to_string(static_cast<long long>(total.output_tokens)) +

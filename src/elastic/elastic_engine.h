@@ -1,7 +1,8 @@
 // Elastic fleet serving: continuous-batching under dynamic device
 // membership, with price-aware autoscaling and live plan migration.
 //
-// The ElasticFleetEngine layers on FleetEngine / FaultTolerantEngine:
+// The ElasticFleetEngine layers on FleetEngine and the runtime's
+// plan-switch step (runtime/recovery.h):
 //
 //   * With an EMPTY membership timeline it delegates verbatim to
 //     FleetEngine — FleetStats are byte-identical to the non-elastic
@@ -159,8 +160,7 @@ class ElasticFleetEngine {
                      sq::runtime::Backend backend =
                          sq::runtime::Backend::kVllmStyle,
                      sq::sim::KernelModelOptions kernel = {.ground_truth = true,
-                                                           .seed = 11},
-                     bool memoize = true);
+                                                           .seed = 11});
 
   /// Serve `jobs`.  Empty timeline: exact FleetEngine delegation over all
   /// groups.  Non-empty timeline: requires exactly one replica group and
@@ -173,7 +173,6 @@ class ElasticFleetEngine {
   /// registry during serve (plus the delegated engines' fleet.* stream).
   /// Off by default; recording never changes ElasticStats.
   void set_observe(bool on) { observe_ = on; }
-  bool observe() const { return observe_; }
 
   /// Attach a weight-preparation hook: initial plans prepare in full,
   /// every accepted membership replan re-prepares only the layers whose
@@ -182,16 +181,11 @@ class ElasticFleetEngine {
     prep_ = std::move(prep);
   }
 
-  const std::vector<sq::runtime::ReplicaGroup>& groups() const {
-    return groups_;
-  }
-
  private:
   sq::model::LlmSpec model_;
   std::vector<sq::runtime::ReplicaGroup> groups_;
   sq::runtime::Backend backend_;
   sq::sim::KernelModelOptions kernel_;
-  bool memoize_;
   bool observe_ = false;
   std::shared_ptr<const sq::runtime::WeightPrep> prep_;
 };

@@ -109,7 +109,7 @@ LlmSpec spec_by_name(std::string_view name) {
   auto norm = [](std::string_view s) {
     std::string out;
     for (char c : s) {
-      if (c == '-' || c == '_' || c == '.' || c == ' ') continue;
+      if (c == '-' || c == '_' || c == ' ') continue;  // '.' kept: OPT-1.3B vs OPT-13B
       out.push_back(static_cast<char>(std::tolower(static_cast<unsigned char>(c))));
     }
     return out;

@@ -26,9 +26,7 @@ std::string fmt_s(double s) {
 /// scheduler worker at a time (groups are the unit of parallel execution),
 /// so no synchronization is needed.
 struct GroupState {
-  sq::hw::Cluster cluster;
-  std::vector<int> to_original;       ///< Group-local -> fleet index.
-  sq::sim::ExecutionPlan plan;
+  ReplicaGroup group;                 ///< Current cluster, index map, plan.
   sq::sim::FaultSchedule schedule;    ///< Group-local indices, fleet clock.
   double rate_tok_s = 1.0;            ///< LPT speed weight.
   double elapsed_us = 0.0;            ///< Group-local simulated clock.
@@ -44,7 +42,7 @@ struct GroupState {
 bool can_run(const GroupState& st, const sq::model::LlmSpec& model,
              const FleetJob& job) {
   for (const auto& b : job.batches) {
-    if (max_concurrency(st.cluster, model, st.plan, b) == 0) return false;
+    if (max_concurrency(st.group.cluster, model, st.group.plan, b) == 0) return false;
   }
   if (!job.arrivals.empty()) {
     std::uint64_t prompt = 1;
@@ -58,64 +56,14 @@ bool can_run(const GroupState& st, const sq::model::LlmSpec& model,
     probe.prompt_len = std::max<std::uint64_t>(1, std::min(prompt, model.pos_s - 1));
     probe.gen_tokens =
         std::max<std::uint64_t>(1, std::min(gen, model.pos_s - probe.prompt_len));
-    if (max_concurrency(st.cluster, model, st.plan, probe) == 0) return false;
+    if (max_concurrency(st.group.cluster, model, st.group.plan, probe) == 0) return false;
   }
   return true;
 }
 
-/// Fold a permanent repair performed inside a job's FaultTolerantEngine run
-/// back into the group's standing state: degrade the group cluster by the
-/// excluded devices (permanent straggler deratings baked in, mirroring the
-/// recovery engine), adopt the repaired plan, and remap the remaining
-/// schedule to the new local indices.
-void fold_repair(GroupState* st, const sq::sim::ExecutionPlan& final_plan) {
-  std::vector<sq::hw::DeviceDerate> derates;
-  for (const auto& e : st->schedule.events) {
-    if (e.kind == sq::sim::FaultKind::kSlowdown && e.permanent() &&
-        e.factor > 1.0) {
-      derates.push_back({e.device, e.factor});
-    }
-  }
-  const sq::hw::DegradedCluster deg = sq::hw::degrade_cluster(
-      st->cluster, final_plan.excluded_devices, derates);
-  if (!deg.feasible) {
-    // The repair excluded every device; nothing left to fold — the group
-    // is done for.  (The recovery engine already reported the failure.)
-    st->retired = true;
-    return;
-  }
-
-  sq::sim::FaultSchedule remapped;
-  for (const auto& e : st->schedule.events) {
-    const bool baked = e.kind == sq::sim::FaultKind::kSlowdown &&
-                       e.permanent() && e.factor > 1.0;
-    if (baked) continue;
-    const int local = deg.from_original[static_cast<std::size_t>(e.device)];
-    if (local < 0) continue;  // Device excluded by the repair.
-    sq::sim::FaultEvent ev = e;
-    ev.device = local;
-    remapped.events.push_back(ev);
-  }
-  remapped.normalize();
-
-  std::vector<int> chained;
-  chained.reserve(deg.to_original.size());
-  for (const int i : deg.to_original) {
-    chained.push_back(st->to_original.empty()
-                          ? i
-                          : st->to_original[static_cast<std::size_t>(i)]);
-  }
-
-  // The repaired plan came out of a fresh planner run and therefore lost
-  // the shard stamps; re-apply them so provenance survives repair.
-  sq::sim::ExecutionPlan plan = final_plan;
-  plan.shard_index = st->plan.shard_index;
-  plan.num_shards = st->plan.num_shards;
-
-  st->cluster = deg.cluster;
-  st->to_original = std::move(chained);
-  st->plan = std::move(plan);
-  st->schedule = std::move(remapped);
+/// Committed output tokens of a job, batch or continuous.
+double job_tokens(const JobOutcome& out) {
+  return out.recovery.serve.output_tokens + out.continuous.output_tokens;
 }
 
 }  // namespace
@@ -167,12 +115,11 @@ JobsParse parse_jobs_spec(const std::string& spec) {
 
 FleetEngine::FleetEngine(sq::model::LlmSpec model,
                          std::vector<ReplicaGroup> groups, Backend backend,
-                         sq::sim::KernelModelOptions kernel, bool memoize)
+                         sq::sim::KernelModelOptions kernel)
     : model_(std::move(model)),
       groups_(std::move(groups)),
       backend_(backend),
-      kernel_(kernel),
-      memoize_(memoize) {}
+      kernel_(kernel) {}
 
 FleetStats FleetEngine::serve(const std::vector<FleetJob>& jobs,
                               const FleetOptions& opts) const {
@@ -204,32 +151,20 @@ FleetStats FleetEngine::serve(const std::vector<FleetJob>& jobs,
       return stats;
     }
     GroupState& st = state[g];
-    st.cluster = rg.cluster;
-    st.to_original = rg.to_original;
-    st.plan = rg.plan;
+    st.group = rg;
     st.rate_tok_s = rg.predicted_tok_s > 0.0 ? rg.predicted_tok_s : 1.0;
     // Translate the fleet-level schedule into group-local indices; events
     // on devices outside this group are inert here (they belong to some
     // other group or to no group at all).
     if (opts.faults != nullptr) {
-      for (const auto& e : opts.faults->events) {
-        int local = -1;
-        if (st.to_original.empty()) {
-          if (e.device >= 0 && e.device < st.cluster.device_count()) {
-            local = e.device;
-          }
-        } else {
-          for (std::size_t i = 0; i < st.to_original.size(); ++i) {
-            if (st.to_original[i] == e.device) {
-              local = static_cast<int>(i);
-              break;
-            }
-          }
+      const std::vector<int>& map = rg.to_original;
+      for (sq::sim::FaultEvent e : opts.faults->events) {
+        if (!map.empty()) {
+          const auto it = std::find(map.begin(), map.end(), e.device);
+          e.device = it == map.end() ? -1 : static_cast<int>(it - map.begin());
         }
-        if (local < 0) continue;
-        sq::sim::FaultEvent ev = e;
-        ev.device = local;
-        st.schedule.events.push_back(ev);
+        if (e.device < 0 || e.device >= rg.cluster.device_count()) continue;
+        st.schedule.events.push_back(e);
       }
       st.schedule.normalize();
     }
@@ -240,13 +175,11 @@ FleetStats FleetEngine::serve(const std::vector<FleetJob>& jobs,
 
   // ---- Scheduling rounds: LPT assignment, parallel group execution,
   // re-assignment of jobs stranded on retired groups. -------------------
-  sq::common::ThreadPool* pool = nullptr;
-  std::unique_ptr<sq::common::ThreadPool> owned_pool;
+  std::unique_ptr<sq::common::ThreadPool> pool;
   const int n_threads = sq::common::resolve_threads(opts.num_threads);
   if (n_threads > 1 && n_groups > 1 && !sq::common::on_pool_worker()) {
-    owned_pool = std::make_unique<sq::common::ThreadPool>(
+    pool = std::make_unique<sq::common::ThreadPool>(
         std::min<int>(n_threads, static_cast<int>(n_groups)));
-    pool = owned_pool.get();
   }
 
   std::vector<std::size_t> pending(jobs.size());
@@ -305,11 +238,10 @@ FleetStats FleetEngine::serve(const std::vector<FleetJob>& jobs,
     // Execute every group's queue; a group's jobs run in order, groups run
     // concurrently.  Each task only touches its own GroupState and its own
     // JobOutcome slots, so results never depend on worker interleaving.
-    sq::common::parallel_for(pool, n_groups, [&](std::size_t g) {
+    sq::common::parallel_for(pool.get(), n_groups, [&](std::size_t g) {
       GroupState& st = state[g];
-      for (std::size_t qi = 0; qi < queue[g].size(); ++qi) {
+      for (const std::size_t j : queue[g]) {
         if (st.retired) break;  // Remaining queue re-assigned below.
-        const std::size_t j = queue[g][qi];
         const FleetJob& job = jobs[j];
 
         const sq::sim::FaultSchedule shifted =
@@ -322,61 +254,75 @@ FleetStats FleetEngine::serve(const std::vector<FleetJob>& jobs,
         ropts.max_replan_attempts = opts.max_replan_attempts;
         ropts.replan_penalty_s = opts.replan_penalty_s;
 
-        FaultTolerantEngine eng(st.cluster, model_, st.plan, backend_,
-                                kernel_, memoize_);
+        OfflineEngine eng(st.group.cluster, model_, st.group.plan, backend_,
+                          kernel_);
         if (prep_) eng.set_weight_prep(prep_);
         JobOutcome& out = stats.jobs[j];
         out.group = static_cast<int>(g);
         out.start_s = st.elapsed_us * 1e-6;
-        if (job.arrivals.empty()) {
-          RecoveryStats rec = eng.serve(job.batches, ropts);
-          out.end_s = out.start_s + rec.wall_seconds;
-          out.completed = rec.serve.feasible && rec.lost_requests == 0;
-          if (!out.completed) {
-            out.failure = rec.serve.failure.empty() ? "serving aborted"
-                                                    : rec.serve.failure;
-          }
-          st.elapsed_us += rec.wall_seconds * 1e6;
-
-          st.events.push_back(
-              "job '" + job.name + "' [" + fmt_s(out.start_s) + " .. " +
-              fmt_s(out.end_s) + "] " +
-              (out.completed
-                   ? std::to_string(static_cast<long long>(rec.serve.output_tokens)) +
-                         " tokens"
-                   : "FAILED: " + out.failure));
-          for (const auto& e : rec.events) st.events.push_back("  " + e);
-
-          if (rec.final_generation > 0) fold_repair(&st, rec.final_plan);
-          out.recovery = std::move(rec);
+        // A continuous job's arrival timeline starts at the job's start
+        // instant on this group; the re-based schedule speaks the same
+        // job-local clock, so the scheduler's absolute-time contract holds.
+        // Lost requests (unservable alone) fail the job's completeness
+        // accounting but do not retire the group — only structural failures
+        // and unrepaired permanent faults do.
+        const bool batch = job.arrivals.empty();
+        if (batch) {
+          out.recovery = eng.serve(job.batches, ropts);
         } else {
-          // Continuous job: the arrival timeline starts at the job's start
-          // instant on this group; the re-based schedule speaks the same
-          // job-local clock, so the scheduler's absolute-time contract
-          // holds.  Lost requests (unservable alone) fail the job's
-          // completeness accounting but do not retire the group — only
-          // structural failures and unrepaired permanent faults do.
-          RequestStats crs = eng.serve_continuous(job.arrivals, ropts);
-          out.end_s = out.start_s + crs.total_seconds;
-          out.completed = crs.feasible && !crs.fault_permanent;
-          if (!out.completed) {
-            out.failure =
-                crs.failure.empty() ? "serving aborted" : crs.failure;
+          out.continuous = eng.serve_continuous(job.arrivals, ropts);
+        }
+        const RecoveryStats& rec = out.recovery;
+        const RequestStats& crs = out.continuous;
+        const double wall_s = batch ? rec.wall_seconds : crs.total_seconds;
+        const std::string& failure = batch ? rec.serve.failure : crs.failure;
+        out.end_s = out.start_s + wall_s;
+        out.completed = batch ? rec.serve.feasible && rec.lost_requests == 0
+                              : crs.feasible && !crs.fault_permanent;
+        if (!out.completed) {
+          out.failure = failure.empty() ? "serving aborted" : failure;
+        }
+        st.elapsed_us += wall_s * 1e6;
+
+        std::string done =
+            std::to_string(static_cast<long long>(
+                batch ? rec.serve.output_tokens : crs.output_tokens)) +
+            " tokens";
+        if (!batch) {
+          done += " (" + std::to_string(crs.completed) + "/" +
+                  std::to_string(crs.submitted) + " requests)";
+        }
+        st.events.push_back("job '" + job.name + "' [" + fmt_s(out.start_s) +
+                            " .. " + fmt_s(out.end_s) + "] " +
+                            (out.completed ? done : "FAILED: " + out.failure));
+        for (const auto& e : batch ? rec.events : crs.events) {
+          st.events.push_back("  " + e);
+        }
+
+        // Fold a repair made inside the job's run into the group's standing
+        // state: replay the engine's plan switch adopting its repaired plan,
+        // and remap the remaining schedule to the new local indices.
+        const sq::sim::ExecutionPlan& repaired =
+            batch ? rec.final_plan : crs.final_plan;
+        if ((batch ? rec.final_generation : crs.final_generation) > 0) {
+          PlanSwitch sw = switch_plan(
+              st.group, repaired.excluded_devices, &st.schedule,
+              [&](const sq::hw::Cluster&, int) { return std::optional(repaired); },
+              1);
+          if (!sw.ok) {
+            st.retired = true;  // Every device excluded; already reported.
+          } else {
+            for (auto& e : sw.faults.events) {
+              e.device = sw.from_index[static_cast<std::size_t>(e.device)];
+            }
+            sw.faults.normalize();
+            // The repaired plan came out of a fresh planner run and lost
+            // the shard stamps; re-apply them so provenance survives.
+            sw.next.plan.shard_index = st.group.plan.shard_index;
+            sw.next.plan.num_shards = st.group.plan.num_shards;
+            st.group = std::move(sw.next);
+            st.schedule = std::move(sw.faults);
           }
-          st.elapsed_us += crs.total_seconds * 1e6;
-
-          st.events.push_back(
-              "job '" + job.name + "' [" + fmt_s(out.start_s) + " .. " +
-              fmt_s(out.end_s) + "] " +
-              (out.completed
-                   ? std::to_string(static_cast<long long>(crs.output_tokens)) +
-                         " tokens (" + std::to_string(crs.completed) + "/" +
-                         std::to_string(crs.submitted) + " requests)"
-                   : "FAILED: " + out.failure));
-          for (const auto& e : crs.events) st.events.push_back("  " + e);
-
-          if (crs.final_generation > 0) fold_repair(&st, crs.final_plan);
-          out.continuous = std::move(crs);
         }
         if (!out.completed) {
           st.retired = true;
@@ -404,17 +350,13 @@ FleetStats FleetEngine::serve(const std::vector<FleetJob>& jobs,
           // lost exactly as in single-group fault-tolerant serving.
           seen_failure = true;
         }
-        if (jobs[j].arrivals.empty()) {
-          stats.output_tokens += out.recovery.serve.output_tokens;
-          stats.faults_hit += out.recovery.faults_hit;
-          stats.retries += out.recovery.retries;
-          stats.repairs += out.recovery.repairs_succeeded;
-        } else {
-          stats.output_tokens += out.continuous.output_tokens;
-          stats.faults_hit += out.continuous.faults_hit;
-          stats.retries += out.continuous.retries;
-          stats.repairs += out.continuous.repairs_succeeded;
-        }
+        // A job fills one of `recovery` (batch) and `continuous`; the other
+        // stays zero.
+        stats.output_tokens += job_tokens(out);
+        stats.faults_hit += out.recovery.faults_hit + out.continuous.faults_hit;
+        stats.retries += out.recovery.retries + out.continuous.retries;
+        stats.repairs +=
+            out.recovery.repairs_succeeded + out.continuous.repairs_succeeded;
       }
       if (seen_failure) ++stats.groups_retired;
     }
@@ -472,12 +414,9 @@ FleetStats FleetEngine::serve(const std::vector<FleetJob>& jobs,
         span.name = "fleet.job";
         span.start_us = out.start_s * 1e6;
         span.end_us = out.end_s * 1e6;
-        const double tokens = jobs[j].arrivals.empty()
-                                  ? out.recovery.serve.output_tokens
-                                  : out.continuous.output_tokens;
         span.attrs = {{"group", static_cast<double>(g)},
                       {"job", static_cast<double>(j)},
-                      {"tokens", tokens},
+                      {"tokens", job_tokens(out)},
                       {"completed", out.completed ? 1.0 : 0.0}};
         sink.add(std::move(span));
       }

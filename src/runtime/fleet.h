@@ -22,9 +22,9 @@
 //     only ever move wall-clock time, exactly like the planner's fan-out.
 //   * Faults stay group-local.  The fleet-level schedule (original fleet
 //     device indices) is translated into each group's local indices; each
-//     group serves through its own FaultTolerantEngine, so a permanent
-//     device failure repairs — or, when repair is impossible, retires —
-//     only its own group.  Jobs still queued on a retired group are
+//     group serves through its own OfflineEngine recovery loop, so a
+//     permanent device failure repairs — or, when repair is impossible,
+//     retires — only its own group.  Jobs still queued on a retired group are
 //     re-assigned to the surviving groups in the next scheduling round.
 #pragma once
 
@@ -41,20 +41,6 @@
 #include "sim/plan.h"
 
 namespace sq::runtime {
-
-/// One replica group of a sharded deployment: a disjoint sub-cluster of
-/// the fleet with its own execution plan.
-struct ReplicaGroup {
-  sq::hw::Cluster cluster;        ///< The group's sub-cluster.
-  /// Group-local flat device index -> fleet flat index.  Identity when
-  /// empty; used to translate fleet-level fault schedules and to label
-  /// events with fleet device ids.
-  std::vector<int> to_original;
-  sq::sim::ExecutionPlan plan;    ///< Addresses `cluster`.
-  /// Planner-predicted serving rate (output tokens / s); the LPT
-  /// assignment's speed weight.  0 = treat all groups as equally fast.
-  double predicted_tok_s = 0.0;
-};
 
 /// One offline job: a named list of padded batches (see
 /// sq::workload::make_batches) OR a continuous-batching arrival timeline
@@ -162,8 +148,7 @@ class FleetEngine {
   FleetEngine(sq::model::LlmSpec model, std::vector<ReplicaGroup> groups,
               Backend backend = Backend::kVllmStyle,
               sq::sim::KernelModelOptions kernel = {.ground_truth = true,
-                                                    .seed = 11},
-              bool memoize = true);
+                                                    .seed = 11});
 
   /// Serve `jobs` across the replica groups.  Deterministic for a fixed
   /// input at every `opts.num_threads`.
@@ -177,25 +162,20 @@ class FleetEngine {
   /// nondeterministically across concurrent groups — so the fleet emits
   /// one deterministic, group-ordered stream instead.
   void set_observe(bool on) { observe_ = on; }
-  bool observe() const { return observe_; }
 
   /// Attach a weight-preparation hook, propagated to every per-group
-  /// FaultTolerantEngine.  Replica groups serving the same plan share the
+  /// OfflineEngine.  Replica groups serving the same plan share the
   /// process-wide QuantCache, so each distinct (weights, bits) pair is
   /// quantized once fleet-wide regardless of replica count.
   void set_weight_prep(std::shared_ptr<const WeightPrep> prep) {
     prep_ = std::move(prep);
   }
-  const std::shared_ptr<const WeightPrep>& weight_prep() const { return prep_; }
-
-  const std::vector<ReplicaGroup>& groups() const { return groups_; }
 
  private:
   sq::model::LlmSpec model_;
   std::vector<ReplicaGroup> groups_;
   Backend backend_;
   sq::sim::KernelModelOptions kernel_;
-  bool memoize_;
   bool observe_ = false;
   std::shared_ptr<const WeightPrep> prep_;  ///< Optional; see setter.
 };

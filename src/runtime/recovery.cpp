@@ -1,511 +1,77 @@
 #include "runtime/recovery.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <limits>
-
-#include "obs/metrics.h"
-#include "runtime/scheduler.h"
-#include "workload/profile.h"
 
 namespace sq::runtime {
 
 namespace {
 
-/// Deterministic seconds rendering for the event log ("12.345s").
-std::string fmt_s(double us) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.3fs", us * 1e-6);
-  return buf;
+/// A permanent straggler the changed cluster bakes into its specs.
+bool baked(const sq::sim::FaultEvent& e) {
+  return e.kind == sq::sim::FaultKind::kSlowdown && e.permanent() &&
+         e.factor > 1.0;
 }
 
 }  // namespace
 
-FaultTolerantEngine::FaultTolerantEngine(sq::hw::Cluster cluster,
-                                         sq::model::LlmSpec model,
-                                         sq::sim::ExecutionPlan plan,
-                                         Backend backend,
-                                         sq::sim::KernelModelOptions kernel,
-                                         bool memoize)
-    : cluster_(std::move(cluster)),
-      model_(std::move(model)),
-      plan_(std::move(plan)),
-      backend_(backend),
-      kernel_(kernel),
-      memoize_(memoize) {}
-
-double FaultTolerantEngine::backend_efficiency() const {
-  return backend_ == Backend::kVllmStyle ? 1.0 : 0.72;
+std::optional<sq::sim::ExecutionPlan> climb_ladder(const PlanAttempt& attempt,
+                                                   const sq::hw::Cluster& changed,
+                                                   int max_attempts) {
+  for (int a = 0; a < std::max(1, max_attempts); ++a) {
+    if (auto plan = attempt(changed, a)) return plan;
+  }
+  return std::nullopt;
 }
 
-RecoveryStats FaultTolerantEngine::serve(
-    const std::vector<sq::sim::BatchWorkload>& batches,
-    const RecoveryOptions& opts) const {
-  RecoveryStats stats;
-  const std::string err = plan_.validate(model_, cluster_);
-  if (!err.empty()) {
-    stats.serve.feasible = false;
-    stats.serve.failure = "invalid plan: " + err;
-    return stats;
+PlanSwitch switch_plan(const ReplicaGroup& from, const std::vector<int>& exclude,
+                       const sq::sim::FaultSchedule* faults,
+                       const PlanAttempt& attempt, int max_attempts,
+                       int generation, const WeightPrep* prep) {
+  PlanSwitch sw;
+  std::vector<sq::hw::DeviceDerate> derates;
+  if (faults != nullptr) {
+    for (const auto& e : faults->events) {
+      if (baked(e)) derates.push_back({e.device, e.factor});
+    }
   }
-  if (prep_) prep_->prepare(plan_.layer_bits);
-
-  sq::sim::PipelineOptions popts;
-  popts.kernel = kernel_;
-  popts.backend_efficiency = backend_efficiency();
-  popts.memoize = memoize_;
-
-  const bool ob = observe_ && sq::obs::enabled();
-  sq::obs::TraceSink sink;
-  if (ob) popts.trace = &sink;
-
-  const bool have_faults =
-      opts.faults != nullptr && !opts.faults->events.empty();
-  if (ob && have_faults) {
-    sq::obs::counter("fault.injected").add(opts.faults->events.size());
+  sq::hw::DegradedCluster deg =
+      sq::hw::degrade_cluster(from.cluster, exclude, derates);
+  if (!deg.feasible) {
+    sw.failure = std::move(deg.failure);
+    return sw;
   }
+  auto plan = climb_ladder(attempt, deg.cluster, max_attempts);
+  if (!plan) return sw;
 
-  // Serving state that plan repair rewrites mid-run.  The active schedule
-  // starts as the caller's; after a repair it is a filtered copy that drops
-  // windows already baked into the degraded cluster (derated stragglers)
-  // so capability loss is never double-counted.
-  sq::hw::Cluster active_cluster = cluster_;
-  sq::sim::ExecutionPlan active_plan = plan_;
-  sq::sim::FaultSchedule repaired_schedule;
-  const sq::sim::FaultSchedule* schedule = opts.faults;
-  std::vector<int> device_map;  // current flat index -> original; empty = id.
-  std::vector<int> failed;      // accumulated permanent losses, original idx.
-
-  double clock_us = 0.0;   // Full timeline: productive + lost + backoff + replan.
-  double bubble_sum = 0.0;
-  bool stopped = false;    // Remaining workload lost (no-repair / infeasible).
-
-  // Remaining requests after the current batch, for lost-request accounting.
-  const auto requests_after = [&](std::size_t b) {
-    std::uint64_t n = 0;
-    for (std::size_t i = b + 1; i < batches.size(); ++i) {
-      n += batches[i].batch_size;
-    }
-    return n;
-  };
-
-  // Permanent plan repair: degrade the ORIGINAL cluster by every failure
-  // seen so far plus sustained straggler deratings, re-run the planner
-  // through the escalation ladder, and swap the serving state over to the
-  // repaired plan.  Returns false when serving cannot continue.
-  const auto repair = [&](double abort_global_us) {
-    if (!opts.replan) return false;
-    std::vector<sq::hw::DeviceDerate> derates;
-    for (const auto& e : opts.faults->events) {
-      if (e.kind == sq::sim::FaultKind::kSlowdown && e.permanent() &&
-          e.factor > 1.0) {
-        derates.push_back({e.device, e.factor});
-      }
-    }
-    const sq::hw::DegradedCluster deg =
-        sq::hw::degrade_cluster(cluster_, failed, derates);
-    if (!deg.feasible || deg.cluster.device_count() == 0) return false;
-
-    ReplanOutcome outcome;
-    for (int attempt = 0; attempt < std::max(1, opts.max_replan_attempts);
-         ++attempt) {
-      ++stats.repairs_attempted;
-      if (ob) sq::obs::counter("fault.repairs.attempted").add();
-      outcome = opts.replan(deg.cluster, attempt);
-      stats.replan_wall_s += outcome.solve_seconds;
-      if (ob) {
-        sq::obs::histogram("fault.replan_wall_s", sq::obs::BucketLayout::kSeconds)
-            .observe(outcome.solve_seconds);
-      }
-      if (outcome.feasible) break;
-    }
-    if (!outcome.feasible) return false;
-
-    ++stats.repairs_succeeded;
-    ++stats.final_generation;
-    active_cluster = deg.cluster;
-    const auto old_bits = active_plan.layer_bits;
-    active_plan = std::move(outcome.plan);
-    active_plan.repair_generation = stats.final_generation;
-    active_plan.excluded_devices = failed;
-    std::sort(active_plan.excluded_devices.begin(),
-              active_plan.excluded_devices.end());
-    // Incremental re-preparation: only layers whose bit assignment changed
-    // in the repaired plan are re-quantized; the rest hit the QuantCache.
-    if (prep_) prep_->reprepare(old_bits, active_plan.layer_bits);
-    device_map = deg.to_original;
-
-    // Drop windows the degraded cluster already accounts for: failures of
-    // excluded devices (gone from the index map anyway) and the permanent
-    // slowdowns now baked into the derated specs.
-    repaired_schedule.events.clear();
-    for (const auto& e : opts.faults->events) {
-      const bool excluded = std::find(failed.begin(), failed.end(),
-                                      e.device) != failed.end();
-      const bool baked = e.kind == sq::sim::FaultKind::kSlowdown &&
-                         e.permanent() && e.factor > 1.0;
-      if (!excluded && !baked) repaired_schedule.events.push_back(e);
-    }
-    schedule = &repaired_schedule;
-
-    const double penalty_us = opts.replan_penalty_s * 1e6;
-    stats.replan_us += penalty_us;
-    clock_us += penalty_us;
-    stats.events.push_back(
-        "[" + fmt_s(abort_global_us) + "] repair: generation " +
-        std::to_string(stats.final_generation) + " on " +
-        active_cluster.summary() + ", resume at " + fmt_s(clock_us));
-    if (ob) {
-      sq::obs::counter("fault.repairs.succeeded").add();
-      sq::obs::histogram("fault.replan_s", sq::obs::BucketLayout::kSeconds)
-          .observe(opts.replan_penalty_s);
-      sq::obs::Span span;
-      span.name = "recovery.repair";
-      span.start_us = abort_global_us;
-      span.end_us = clock_us;
-      span.attrs = {{"generation", static_cast<double>(stats.final_generation)},
-                    {"failed_device", static_cast<double>(failed.back())}};
-      sink.base_us = 0.0;
-      sink.add(std::move(span));
-    }
-    return true;
-  };
-
-  for (std::size_t b = 0; b < batches.size() && !stopped; ++b) {
-    const sq::sim::BatchWorkload& batch = batches[b];
-    BatchSchedule sched = schedule_batch(active_cluster, model_, active_plan, batch);
-    if (!sched.weights_fit) {
-      stats.serve.feasible = false;
-      stats.serve.failure = "OOM: plan weights exceed device memory";
-      return stats;
-    }
-    if (sched.waves.size() > 1) ++stats.serve.capped_batches;
-
-    std::uint64_t done_in_batch = 0;
-    std::size_t wi = 0;
-    int wave_retries = 0;
-    while (wi < sched.waves.size()) {
-      const std::uint64_t wave = sched.waves[wi];
-      sq::sim::BatchWorkload w = batch;
-      w.batch_size = wave;
-      sq::sim::ExecutionPlan p = active_plan;
-      p.prefill_microbatch = std::min<std::uint64_t>(sched.eta, wave);
-      p.decode_microbatch = std::min<std::uint64_t>(sched.xi, wave);
-
-      sq::sim::FaultView fv;
-      fv.schedule = schedule;
-      fv.base_us = clock_us;
-      fv.to_original = device_map.empty() ? nullptr : &device_map;
-      popts.faults = have_faults ? &fv : nullptr;
-      sink.base_us = clock_us;
-
-      const auto r = sq::sim::simulate_batch(active_cluster, model_, p, w, popts);
-      if (r.oom) {
-        stats.serve.feasible = false;
-        stats.serve.failure =
-            "OOM during execution on device " + std::to_string(r.oom_device);
-        return stats;
-      }
-
-      if (!r.faulted) {
-        clock_us += r.total_us;
-        stats.serve.total_seconds += r.total_us * 1e-6;
-        stats.serve.output_tokens +=
-            static_cast<double>(wave) * static_cast<double>(w.gen_tokens);
-        bubble_sum += r.bubble_fraction;
-        ++stats.serve.waves;
-        done_in_batch += wave;
-        stats.checkpoint.waves_done = stats.serve.waves;
-        stats.checkpoint.tokens_done = stats.serve.output_tokens;
-        stats.checkpoint.sim_clock_us = clock_us;
-        ++wi;
-        wave_retries = 0;
-        continue;
-      }
-
-      // The wave hit a failure window: everything simulated up to the abort
-      // is discarded (the wave re-runs from scratch after recovery).
-      ++stats.faults_hit;
-      const double abort_global_us = clock_us + r.total_us;
-      stats.lost_us += r.total_us;
-      clock_us = abort_global_us;
-      stats.events.push_back(
-          "[" + fmt_s(abort_global_us) + "] " +
-          (r.fault_transient ? "transient" : "permanent") + " failure on device " +
-          std::to_string(r.fault_device) + ", wave of " + std::to_string(wave) +
-          " aborted after " + fmt_s(r.total_us));
-      if (ob) {
-        sq::obs::counter("fault.aborts").add();
-        sq::obs::histogram("fault.lost_us", sq::obs::BucketLayout::kTimeUs)
-            .observe(r.total_us);
-      }
-
-      if (r.fault_transient && wave_retries < opts.max_retries) {
-        // Wait out the window plus backoff, then re-run the same wave.
-        ++wave_retries;
-        ++stats.retries;
-        const double window_end_global = (clock_us - r.total_us) + r.fault_until_us;
-        const double wait_us =
-            std::max(0.0, window_end_global - clock_us) + opts.backoff_s * 1e6;
-        stats.backoff_us += wait_us;
-        clock_us += wait_us;
-        stats.events.push_back("[" + fmt_s(abort_global_us) + "] retry " +
-                               std::to_string(wave_retries) + " after backoff, at " +
-                               fmt_s(clock_us));
-        if (ob) sq::obs::counter("fault.retries").add();
-        continue;
-      }
-
-      // Permanent failure (or transient retry budget exhausted — the device
-      // is then treated as lost for the remainder of the run).
-      failed.push_back(r.fault_device);
-      if (repair(abort_global_us)) {
-        // Re-schedule the requests this batch still owes under the new plan.
-        sq::sim::BatchWorkload rest = batch;
-        rest.batch_size = batch.batch_size - done_in_batch;
-        sched = schedule_batch(active_cluster, model_, active_plan, rest);
-        if (!sched.weights_fit) {
-          stats.serve.failure = "repair infeasible: repaired plan weights OOM";
-        } else {
-          wi = 0;
-          wave_retries = 0;
-          continue;
-        }
-      }
-      // No repair possible: the remaining workload is lost.
-      stats.lost_requests +=
-          (batch.batch_size - done_in_batch) + requests_after(b);
-      if (stats.serve.failure.empty()) {
-        stats.serve.failure =
-            opts.replan ? "no feasible repair plan; remaining workload lost"
-                        : "device failed with repair disabled; remaining "
-                          "workload lost";
-      }
-      stats.events.push_back("[" + fmt_s(abort_global_us) + "] " +
-                             stats.serve.failure + " (" +
-                             std::to_string(stats.lost_requests) + " requests)");
-      stopped = true;
-      break;
-    }
-    if (!stopped) ++stats.serve.batches;
+  sw.ok = true;
+  sw.next.cluster = std::move(deg.cluster);
+  sw.next.predicted_tok_s = from.predicted_tok_s;
+  sw.next.to_original.reserve(deg.to_original.size());
+  for (const int i : deg.to_original) {
+    sw.next.to_original.push_back(
+        from.to_original.empty() ? i
+                                 : from.to_original[static_cast<std::size_t>(i)]);
   }
+  sw.next.plan = std::move(*plan);
+  if (generation > 0) {
+    sw.next.plan.repair_generation = generation;
+    sw.next.plan.excluded_devices = exclude;
+    std::sort(sw.next.plan.excluded_devices.begin(),
+              sw.next.plan.excluded_devices.end());
+  }
+  // Incremental re-preparation: only layers whose bit assignment changed
+  // are re-quantized; the rest hit the QuantCache.
+  if (prep != nullptr) prep->reprepare(from.plan.layer_bits, sw.next.plan.layer_bits);
+  sw.from_index = std::move(deg.from_original);
 
-  if (ob) {
-    sq::obs::gauge("fault.lost_us.total").set(stats.lost_us);
-    if (stats.lost_requests > 0) {
-      sq::obs::counter("fault.lost_requests").add(stats.lost_requests);
+  if (faults != nullptr) {
+    for (const auto& e : faults->events) {
+      const bool excluded =
+          std::find(exclude.begin(), exclude.end(), e.device) != exclude.end();
+      if (!excluded && !baked(e)) sw.faults.events.push_back(e);
     }
-    sq::obs::Registry::global().record_spans(sink.take());
   }
-  stats.checkpoint.batches_done = stats.serve.batches;
-  stats.final_plan = std::move(active_plan);
-  stats.wall_seconds = clock_us * 1e-6;
-  if (stats.serve.total_seconds > 0.0) {
-    stats.serve.throughput_tok_s =
-        stats.serve.output_tokens / stats.serve.total_seconds;
-  }
-  if (stats.wall_seconds > 0.0) {
-    stats.goodput_tok_s = stats.serve.output_tokens / stats.wall_seconds;
-  }
-  if (stats.serve.waves > 0) {
-    stats.serve.mean_bubble = bubble_sum / static_cast<double>(stats.serve.waves);
-  }
-  return stats;
-}
-
-RecoveryStats FaultTolerantEngine::serve_requests(
-    const std::vector<sq::workload::Request>& requests, std::uint64_t batch_size,
-    const RecoveryOptions& opts, std::uint64_t chunk_tokens) const {
-  const auto batches =
-      sq::workload::make_batches(requests, model_, batch_size, chunk_tokens);
-  return serve(batches, opts);
-}
-
-RequestStats FaultTolerantEngine::serve_continuous(
-    const std::vector<sq::workload::TimedRequest>& arrivals,
-    const RecoveryOptions& opts, const ContinuousOptions& copts) const {
-  RequestStats total;
-  total.submitted = arrivals.size();
-  total.final_plan = plan_;
-  const std::string err = plan_.validate(model_, cluster_);
-  if (!err.empty()) {
-    total.feasible = false;
-    total.failure = "invalid plan: " + err;
-    return total;
-  }
-  if (prep_) prep_->prepare(plan_.layer_bits);
-  total.requests.resize(arrivals.size());
-  for (std::size_t i = 0; i < arrivals.size(); ++i) {
-    total.requests[i].id = i;
-    total.requests[i].arrive_s = arrivals[i].arrive_s;
-  }
-
-  const bool ob = observe_ && sq::obs::enabled();
-  const bool have_faults =
-      opts.faults != nullptr && !opts.faults->events.empty();
-  if (ob && have_faults) {
-    sq::obs::counter("fault.injected").add(opts.faults->events.size());
-  }
-
-  // Serving state that plan repair rewrites between generations (same
-  // protocol as `serve`: the active schedule is filtered after a repair so
-  // capability loss baked into the degraded cluster is not double-counted).
-  sq::hw::Cluster active_cluster = cluster_;
-  sq::sim::ExecutionPlan active_plan = plan_;
-  sq::sim::FaultSchedule repaired_schedule;
-  const sq::sim::FaultSchedule* schedule = have_faults ? opts.faults : nullptr;
-  std::vector<int> device_map;  // current flat index -> original; empty = id.
-  std::vector<int> failed;      // accumulated permanent losses, original idx.
-
-  std::vector<std::size_t> remaining(arrivals.size());
-  for (std::size_t i = 0; i < arrivals.size(); ++i) remaining[i] = i;
-  double resume_us = copts.start_us;
-
-  // Permanent plan repair (mirrors `serve`); on success, swaps the serving
-  // state over and sets the resume instant past the replanning charge.
-  const auto repair = [&](double abort_us) {
-    if (!opts.replan) return false;
-    std::vector<sq::hw::DeviceDerate> derates;
-    for (const auto& e : opts.faults->events) {
-      if (e.kind == sq::sim::FaultKind::kSlowdown && e.permanent() &&
-          e.factor > 1.0) {
-        derates.push_back({e.device, e.factor});
-      }
-    }
-    const sq::hw::DegradedCluster deg =
-        sq::hw::degrade_cluster(cluster_, failed, derates);
-    if (!deg.feasible || deg.cluster.device_count() == 0) return false;
-
-    ReplanOutcome outcome;
-    for (int attempt = 0; attempt < std::max(1, opts.max_replan_attempts);
-         ++attempt) {
-      ++total.repairs_attempted;
-      if (ob) sq::obs::counter("fault.repairs.attempted").add();
-      outcome = opts.replan(deg.cluster, attempt);
-      if (ob) {
-        sq::obs::histogram("fault.replan_wall_s", sq::obs::BucketLayout::kSeconds)
-            .observe(outcome.solve_seconds);
-      }
-      if (outcome.feasible) break;
-    }
-    if (!outcome.feasible) return false;
-
-    ++total.repairs_succeeded;
-    ++total.final_generation;
-    active_cluster = deg.cluster;
-    const auto old_bits = active_plan.layer_bits;
-    active_plan = std::move(outcome.plan);
-    active_plan.repair_generation = total.final_generation;
-    active_plan.excluded_devices = failed;
-    std::sort(active_plan.excluded_devices.begin(),
-              active_plan.excluded_devices.end());
-    // Changed-bits-only re-preparation (see the batch-mode repair above).
-    if (prep_) prep_->reprepare(old_bits, active_plan.layer_bits);
-    device_map = deg.to_original;
-
-    repaired_schedule.events.clear();
-    for (const auto& e : opts.faults->events) {
-      const bool excluded = std::find(failed.begin(), failed.end(),
-                                      e.device) != failed.end();
-      const bool baked = e.kind == sq::sim::FaultKind::kSlowdown &&
-                         e.permanent() && e.factor > 1.0;
-      if (!excluded && !baked) repaired_schedule.events.push_back(e);
-    }
-    schedule = repaired_schedule.events.empty() ? nullptr : &repaired_schedule;
-
-    resume_us = abort_us + opts.replan_penalty_s * 1e6;
-    total.events.push_back(
-        "[" + fmt_s(abort_us) + "] repair: generation " +
-        std::to_string(total.final_generation) + " on " +
-        active_cluster.summary() + ", resume at " + fmt_s(resume_us));
-    if (ob) sq::obs::counter("fault.repairs.succeeded").add();
-    return true;
-  };
-
-  while (!remaining.empty()) {
-    std::vector<sq::workload::TimedRequest> sub;
-    sub.reserve(remaining.size());
-    for (const std::size_t id : remaining) sub.push_back(arrivals[id]);
-
-    RequestScheduler sched(active_cluster, model_, active_plan,
-                           backend_efficiency(), kernel_, memoize_);
-    sched.set_observe(observe_);
-    ContinuousOptions c = copts;
-    c.start_us = resume_us;
-    c.faults = schedule;
-    c.to_original = device_map.empty() ? nullptr : &device_map;
-    const RequestStats st = sched.serve(sub, c);
-
-    // Merge this generation's outcomes and counters; arrivals keep their
-    // absolute times, so the sub-serve's clock is the global clock.
-    total.completed += st.completed;
-    total.lost += st.lost;
-    total.preemptions += st.preemptions;
-    total.admission_blocked += st.admission_blocked;
-    total.iterations += st.iterations;
-    total.faults_hit += st.faults_hit;
-    total.retries += st.retries;
-    total.output_tokens += st.output_tokens;
-    total.kv_peak_utilization =
-        std::max(total.kv_peak_utilization, st.kv_peak_utilization);
-    for (const auto& e : st.events) total.events.push_back(e);
-    total.total_seconds = std::max(total.total_seconds, st.total_seconds);
-
-    std::vector<std::size_t> incomplete;
-    for (std::size_t si = 0; si < remaining.size(); ++si) {
-      const std::size_t id = remaining[si];
-      const RequestOutcome& out = st.requests[si];
-      RequestOutcome& dst = total.requests[id];
-      dst.prompt_tokens = out.prompt_tokens;
-      dst.preemptions += out.preemptions;
-      if (out.admit_s >= 0.0 && dst.admit_s < 0.0) dst.admit_s = out.admit_s;
-      if (out.completed) {
-        dst.completed = true;
-        dst.finish_s = out.finish_s;
-        dst.output_tokens = out.output_tokens;
-      } else if (out.lost) {
-        dst.lost = true;  // unservable on any plan sized like this one
-      } else {
-        incomplete.push_back(id);
-      }
-    }
-
-    if (!st.feasible) {
-      // Structural failure (invalid/OOM repaired plan): unrecoverable.
-      total.feasible = false;
-      total.failure = st.failure;
-      total.lost += incomplete.size();
-      for (const std::size_t id : incomplete) total.requests[id].lost = true;
-      break;
-    }
-    if (!st.fault_permanent) break;  // clean finish on this generation
-
-    failed.push_back(st.fault_device);
-    if (incomplete.empty()) break;  // the failure stranded nothing
-    if (!repair(st.fault_s * 1e6)) {
-      total.fault_permanent = true;
-      total.fault_device = st.fault_device;
-      total.fault_s = st.fault_s;
-      total.failure =
-          opts.replan ? "no feasible repair plan; remaining requests lost"
-                      : "device failed with repair disabled; remaining "
-                        "requests lost";
-      total.lost += incomplete.size();
-      for (const std::size_t id : incomplete) total.requests[id].lost = true;
-      total.events.push_back("[" + fmt_s(st.fault_s * 1e6) + "] " +
-                             total.failure + " (" +
-                             std::to_string(incomplete.size()) + " requests)");
-      if (ob) {
-        sq::obs::counter("fault.lost_requests").add(incomplete.size());
-      }
-      break;
-    }
-    remaining = std::move(incomplete);
-  }
-
-  total.final_plan = std::move(active_plan);
-  finalize_request_aggregates(total);
-  return total;
+  return sw;
 }
 
 }  // namespace sq::runtime

@@ -1,9 +1,10 @@
-// Fault-tolerant offline serving: checkpointed execution plus plan repair.
+// Fault recovery and plan switching: the knobs of OfflineEngine's
+// recovery protocol and the one plan-switch step every serving engine
+// runs when its devices change.
 //
-// The FaultTolerantEngine wraps the serving loop of OfflineEngine with a
-// recovery protocol for the paper's production setting (shared
-// heterogeneous fleets where devices fail, throttle and straggle
-// mid-batch):
+// Recovery protocol (OfflineEngine::serve / serve_continuous with
+// RecoveryOptions), for the paper's production setting of shared
+// heterogeneous fleets where devices fail, throttle and straggle mid-batch:
 //
 //   * Checkpointing.  Progress is tracked at wave granularity: a completed
 //     wave's requests (and their KV/layer state, which the simulator
@@ -12,13 +13,13 @@
 //   * Transient faults retry with backoff: the engine waits out the
 //     failure window (plus a configurable backoff) and re-runs the wave,
 //     up to `max_retries` times.
-//   * Permanent faults trigger plan repair: the degraded cluster (failed
-//     devices excluded, sustained stragglers re-rated) is handed to a
-//     Replanner callback, which re-runs the planner search.  Repair is
-//     incremental — stage times of unchanged devices hit the shared
-//     memoized caches of the simulator and cost model.  The repaired plan
-//     serves the remaining workload; subsequent fault events are
-//     translated through the degraded cluster's index map.
+//   * Permanent faults trigger plan repair through switch_plan: the
+//     degraded cluster (failed devices excluded, sustained stragglers
+//     re-rated) is handed to a Replanner callback, which re-runs the
+//     planner search.  Repair is incremental — stage times of unchanged
+//     devices hit the shared memoized caches of the simulator and cost
+//     model.  The repaired plan serves the remaining workload; subsequent
+//     fault events are translated through the degraded cluster's index map.
 //   * Graceful degradation: when no feasible plan exists under the
 //     original constraints, the Replanner is re-invoked with an escalating
 //     `attempt` number (the core-side factory relaxes the quality budget,
@@ -33,17 +34,14 @@
 // every thread count.
 #pragma once
 
-#include <cstdint>
 #include <functional>
-#include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "hw/cluster.h"
-#include "model/llm.h"
-#include "runtime/engine.h"
+#include "runtime/weight_prep.h"
 #include "sim/faults.h"
-#include "sim/pipeline.h"
 #include "sim/plan.h"
 
 namespace sq::runtime {
@@ -77,117 +75,63 @@ struct RecoveryOptions {
   double replan_penalty_s = 2.0;
 };
 
-/// Wave-granular progress checkpoint (exposed for tests/observability).
-struct Checkpoint {
-  std::uint64_t batches_done = 0;
-  std::uint64_t waves_done = 0;
-  double tokens_done = 0.0;    ///< Output tokens committed so far.
-  double sim_clock_us = 0.0;   ///< Global simulated clock.
+/// One replica group of a sharded deployment: a disjoint sub-cluster of
+/// the fleet with its own execution plan.  It is also the serving state a
+/// plan switch replaces.
+struct ReplicaGroup {
+  sq::hw::Cluster cluster;        ///< The group's sub-cluster.
+  /// Group-local flat device index -> fleet flat index.  Identity when
+  /// empty; used to translate fleet-level fault schedules and to label
+  /// events with fleet device ids.
+  std::vector<int> to_original;
+  sq::sim::ExecutionPlan plan;    ///< Addresses `cluster`.
+  /// Planner-predicted serving rate (output tokens / s); the LPT
+  /// assignment's speed weight.  0 = treat all groups as equally fast.
+  double predicted_tok_s = 0.0;
 };
 
-/// Aggregate results of fault-tolerant serving.
-struct RecoveryStats {
-  /// Aggregates over COMPLETED work only (same semantics as
-  /// OfflineEngine::serve); `serve.total_seconds` counts productive
-  /// simulated time, excluding lost/backoff/replan windows.
-  ServeStats serve;
-  std::uint64_t faults_hit = 0;          ///< Aborts observed (incl. retries).
-  std::uint64_t retries = 0;             ///< Transient-fault wave re-runs.
-  std::uint64_t repairs_attempted = 0;   ///< Replanner invocations.
-  std::uint64_t repairs_succeeded = 0;   ///< Repairs that produced a plan.
-  int final_generation = 0;              ///< Plan generation serving ended on.
-  std::uint64_t lost_requests = 0;       ///< Requests never completed
-                                         ///< (no-repair baseline only).
-  double lost_us = 0.0;      ///< Simulated work discarded by aborts.
-  double backoff_us = 0.0;   ///< Simulated waiting on transient recovery.
-  double replan_us = 0.0;    ///< Simulated replanning charge.
-  double replan_wall_s = 0.0;  ///< Real planner wall time (NOT
-                               ///< deterministic; excluded from bit-compares).
-  /// Output tokens over the full wall clock including lost, backoff and
-  /// replanning windows — the recovery-aware throughput the fault bench
-  /// gates on.
-  double goodput_tok_s = 0.0;
-  /// Wall-clock seconds of the full timeline (productive + lost + backoff
-  /// + replanning).
-  double wall_seconds = 0.0;
-  /// Deterministic human-readable fault/repair timeline ("[12.3s] fail
-  /// dev2 ...", one entry per event); identical across thread counts.
-  std::vector<std::string> events;
-  Checkpoint checkpoint;  ///< Final progress checkpoint.
-  /// The plan serving ended on: the bound plan when no repair happened,
-  /// otherwise the last repaired plan (stage indices address the degraded
-  /// cluster; repair_generation / excluded_devices carry the provenance).
-  sq::sim::ExecutionPlan final_plan;
+/// One rung of the re-planning ladder: a plan for `changed` at escalation
+/// `attempt`, or nullopt when this attempt found none.  Callers count
+/// attempts and keep planner diagnostics inside the callback.
+using PlanAttempt = std::function<std::optional<sq::sim::ExecutionPlan>(
+    const sq::hw::Cluster& changed, int attempt)>;
+
+/// Climb the ladder: attempts 0 .. max(1, max_attempts) - 1 until one
+/// yields a plan.
+std::optional<sq::sim::ExecutionPlan> climb_ladder(const PlanAttempt& attempt,
+                                                   const sq::hw::Cluster& changed,
+                                                   int max_attempts);
+
+/// Outcome of switch_plan.
+struct PlanSwitch {
+  bool ok = false;
+  /// Why the cluster could not shrink (every device excluded).  Empty when
+  /// the shrink worked but no ladder attempt produced a plan.
+  std::string failure;
+  /// The group serving continues on: changed cluster, index map chained
+  /// through `from.to_original`, new plan; predicted_tok_s is `from`'s.
+  ReplicaGroup next;
+  std::vector<int> from_index;  ///< `from` flat index -> next, -1 = excluded.
+  /// Events of the input schedule the changed cluster does not already
+  /// account for, still in `from` indices: failures of excluded devices
+  /// and permanent slowdowns baked into the specs are dropped.
+  sq::sim::FaultSchedule faults;
 };
 
-/// The fault-tolerant engine: binds (cluster, model, plan, backend) like
-/// OfflineEngine and adds the recovery protocol.
-class FaultTolerantEngine {
- public:
-  FaultTolerantEngine(sq::hw::Cluster cluster, sq::model::LlmSpec model,
-                      sq::sim::ExecutionPlan plan,
-                      Backend backend = Backend::kVllmStyle,
-                      sq::sim::KernelModelOptions kernel = {.ground_truth = true,
-                                                            .seed = 11},
-                      bool memoize = true);
-
-  /// Serve the batches under the fault schedule in `opts`.  With a null
-  /// schedule this reproduces OfflineEngine::serve bit-for-bit (and
-  /// goodput == throughput).
-  RecoveryStats serve(const std::vector<sq::sim::BatchWorkload>& batches,
-                      const RecoveryOptions& opts = {}) const;
-
-  /// Convenience mirror of OfflineEngine::serve_requests.
-  RecoveryStats serve_requests(const std::vector<sq::workload::Request>& requests,
-                               std::uint64_t batch_size,
-                               const RecoveryOptions& opts = {},
-                               std::uint64_t chunk_tokens = 2048) const;
-
-  /// Continuous-batching mode under faults: serve the arrival timeline
-  /// through the iteration-level RequestScheduler and, when a permanent
-  /// failure stops it, repair the plan (degrade + replanner escalation
-  /// ladder, exactly as `serve`), charge `opts.replan_penalty_s` on the
-  /// serving clock, and resume the still-incomplete requests on the
-  /// repaired plan.  The fault schedule speaks ORIGINAL device indices and
-  /// absolute times on the serving clock.  `copts.start_us`, `copts.faults`
-  /// and `copts.to_original` are managed by the engine; the other knobs
-  /// (threads, chunking, max_running) pass through.  The merged
-  /// RequestStats carries repair provenance (repairs_attempted/succeeded,
-  /// final_generation, final_plan) and stays bit-identical across thread
-  /// counts.  With no repair possible the remaining requests are lost,
-  /// mirroring the no-repair baseline of `serve`.
-  RequestStats serve_continuous(
-      const std::vector<sq::workload::TimedRequest>& arrivals,
-      const RecoveryOptions& opts = {},
-      const ContinuousOptions& copts = {}) const;
-
-  /// Record recovery metrics (fault/repair counters, replan latency,
-  /// recovery trace spans on the simulated clock) into the global obs
-  /// registry during serve.  Off by default; recording never changes
-  /// RecoveryStats.
-  void set_observe(bool on) { observe_ = on; }
-  bool observe() const { return observe_; }
-
-  /// Attach a weight-preparation hook (see OfflineEngine::set_weight_prep).
-  /// serve()/serve_continuous() prepare the bound plan's bitwidths up
-  /// front; after a successful plan repair, only layers whose assigned
-  /// bits CHANGED are re-quantized — unchanged layers hit the QuantCache.
-  void set_weight_prep(std::shared_ptr<const WeightPrep> prep) {
-    prep_ = std::move(prep);
-  }
-  const std::shared_ptr<const WeightPrep>& weight_prep() const { return prep_; }
-
-  double backend_efficiency() const;
-
- private:
-  sq::hw::Cluster cluster_;
-  sq::model::LlmSpec model_;
-  sq::sim::ExecutionPlan plan_;
-  Backend backend_;
-  sq::sim::KernelModelOptions kernel_;
-  bool memoize_;
-  bool observe_ = false;
-  std::shared_ptr<const WeightPrep> prep_;  ///< Optional; see setter.
-};
+/// The plan-switch step shared by fault repair, fleet repair folding and
+/// elastic membership changes:
+///   1. exclude `exclude` (flat indices of from.cluster) and bake every
+///      permanent slowdown of `faults` (same indices; may be null) into the
+///      surviving devices' specs (hw::degrade_cluster);
+///   2. climb the ladder on the changed cluster;
+///   3. chain the index maps;
+///   4. when `generation` > 0, stamp it as the plan's repair_generation
+///      and `exclude` (sorted) as its excluded_devices;
+///   5. re-prepare only the layers whose bits changed (`prep` may be null);
+///   6. keep the fault events that still apply.
+PlanSwitch switch_plan(const ReplicaGroup& from, const std::vector<int>& exclude,
+                       const sq::sim::FaultSchedule* faults,
+                       const PlanAttempt& attempt, int max_attempts,
+                       int generation = 0, const WeightPrep* prep = nullptr);
 
 }  // namespace sq::runtime

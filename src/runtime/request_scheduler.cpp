@@ -19,13 +19,6 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/// Deterministic seconds rendering for the event log ("12.345s").
-std::string fmt_s(double us) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.3fs", us * 1e-6);
-  return buf;
-}
-
 /// Per-request serving state (index-parallel with the arrival list).
 struct ReqState {
   double arrive_us = 0.0;
@@ -74,6 +67,12 @@ struct TimeKeyHash {
 
 }  // namespace
 
+std::string log_time(double us) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%.3fs", us * 1e-6);
+  return buf;
+}
+
 void finalize_request_aggregates(RequestStats& stats) {
   stats.goodput_tok_s = stats.total_seconds > 0.0
                             ? stats.output_tokens / stats.total_seconds
@@ -98,6 +97,52 @@ void finalize_request_aggregates(RequestStats& stats) {
     stats.mean_queue_s = queue_sum / k;
     stats.p50_latency_s = lat[(lat.size() - 1) / 2];
     stats.p95_latency_s = lat[(lat.size() - 1) * 95 / 100];
+  }
+}
+
+RequestStats segment_total(
+    const std::vector<sq::workload::TimedRequest>& arrivals) {
+  RequestStats total;
+  total.submitted = arrivals.size();
+  total.requests.resize(arrivals.size());
+  for (std::size_t i = 0; i < arrivals.size(); ++i) {
+    total.requests[i].id = i;
+    total.requests[i].arrive_s = arrivals[i].arrive_s;
+  }
+  return total;
+}
+
+void merge_segment(RequestStats& total, const RequestStats& seg,
+                   const std::vector<std::size_t>& ids,
+                   std::vector<std::size_t>* incomplete) {
+  total.completed += seg.completed;
+  total.lost += seg.lost;
+  total.preemptions += seg.preemptions;
+  total.admission_blocked += seg.admission_blocked;
+  total.iterations += seg.iterations;
+  total.faults_hit += seg.faults_hit;
+  total.retries += seg.retries;
+  total.output_tokens += seg.output_tokens;
+  total.kv_peak_utilization =
+      std::max(total.kv_peak_utilization, seg.kv_peak_utilization);
+  for (const auto& e : seg.events) total.events.push_back(e);
+  total.total_seconds = std::max(total.total_seconds, seg.total_seconds);
+
+  for (std::size_t si = 0; si < ids.size(); ++si) {
+    const RequestOutcome& out = seg.requests[si];
+    RequestOutcome& dst = total.requests[ids[si]];
+    dst.prompt_tokens = out.prompt_tokens;
+    dst.preemptions += out.preemptions;
+    if (out.admit_s >= 0.0 && dst.admit_s < 0.0) dst.admit_s = out.admit_s;
+    if (out.completed) {
+      dst.completed = true;
+      dst.finish_s = out.finish_s;
+      dst.output_tokens = out.output_tokens;
+    } else if (out.lost) {
+      dst.lost = true;  // unservable on any plan sized like this one
+    } else {
+      incomplete->push_back(ids[si]);
+    }
   }
 }
 
@@ -237,7 +282,7 @@ RequestStats RequestScheduler::serve(
     req[r].lost = true;
     ++stats.lost;
     ++finished;
-    stats.events.push_back("[" + fmt_s(clock) + "] lost request " +
+    stats.events.push_back("[" + log_time(clock) + "] lost request " +
                            std::to_string(r) + ": " + why);
     if (ob) sq::obs::counter("serve.request.lost").add();
   };
@@ -522,7 +567,7 @@ RequestStats RequestScheduler::serve(
       const sq::sim::FaultEvent* e = fv.failure_at(abort_dev, abort_at);
       const bool transient = e != nullptr && !e->permanent();
       stats.events.push_back(
-          "[" + fmt_s(abort_at) + "] " +
+          "[" + log_time(abort_at) + "] " +
           (transient ? "transient" : "permanent") + " failure on device " +
           std::to_string(fv.original_of(abort_dev)) + ", iteration " +
           std::to_string(stats.iterations) + " discarded");

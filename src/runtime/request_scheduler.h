@@ -32,7 +32,7 @@
 //     windows and an iteration that touches an active failure window is
 //     discarded: transient windows are waited out and the iteration
 //     re-runs; a permanent failure stops the scheduler with typed stats so
-//     the fault-tolerant engine can repair the plan and resume.
+//     the engine's recovery loop can repair the plan and resume.
 //
 // Determinism contract: RequestStats are bit-identical across 1..N
 // scheduler threads and across repeated runs with the same inputs,
@@ -106,8 +106,8 @@ struct RequestStats {
   std::uint64_t retries = 0;         ///< Transient windows waited out.
   /// Typed permanent-failure outcome: serving stopped at `fault_s` because
   /// device `fault_device` (ORIGINAL cluster index) failed permanently.
-  /// The fault-tolerant engine repairs and resumes; standalone use loses
-  /// the incomplete requests.
+  /// OfflineEngine's recovery loop repairs and resumes; standalone use
+  /// loses the incomplete requests.
   bool fault_permanent = false;
   int fault_device = -1;
   double fault_s = 0.0;
@@ -119,19 +119,39 @@ struct RequestStats {
   /// Deterministic event log ("[1.234s] ..."); identical across threads.
   std::vector<std::string> events;
   std::vector<RequestOutcome> requests;  ///< In input order.
-  // Repair provenance, filled by FaultTolerantEngine::serve_continuous
-  // (zero / default when serving never repaired).
+  // Repair provenance, filled by OfflineEngine::serve_continuous under
+  // RecoveryOptions (zero / default when serving never repaired).
   std::uint64_t repairs_attempted = 0;
   std::uint64_t repairs_succeeded = 0;
   int final_generation = 0;
   sq::sim::ExecutionPlan final_plan;  ///< Plan serving ended on.
 };
 
+/// Deterministic rendering of a simulated-clock instant for the engines'
+/// event logs ("12.345s").
+std::string log_time(double us);
+
 /// Recompute `goodput_tok_s` and the latency/queue aggregates of `stats`
 /// from its per-request outcomes and `total_seconds`.  The scheduler calls
-/// this itself; the fault-tolerant engine re-calls it after merging the
-/// outcomes of several serving generations into one RequestStats.
+/// this itself; the engines re-call it after merging the outcomes of
+/// several serving segments into one RequestStats.
 void finalize_request_aggregates(RequestStats& stats);
+
+/// An empty job total for merge_segment: one fresh outcome per arrival
+/// (id, arrive_s), nothing served yet.
+RequestStats segment_total(const std::vector<sq::workload::TimedRequest>& arrivals);
+
+/// Merge one serving segment (a scheduler run over the requests `ids` of
+/// the job, in that order) into the job total: counters add, the KV peak
+/// and the end of serving take the max, events append.  Outcome i lands on
+/// total.requests[ids[i]]: admit_s keeps the first admission, preemptions
+/// accumulate across segments, prompt_tokens is copied, and completion or
+/// loss is recorded.  The ids of requests still unresolved are appended
+/// to `*incomplete`.  Plan repair (runtime/engine.h) and elastic
+/// membership changes both resume work this way.
+void merge_segment(RequestStats& total, const RequestStats& seg,
+                   const std::vector<std::size_t>& ids,
+                   std::vector<std::size_t>* incomplete);
 
 /// Continuous-serving knobs.
 struct ContinuousOptions {
@@ -143,9 +163,9 @@ struct ContinuousOptions {
   /// Extra cap on concurrently admitted requests; 0 = KV-limited only.
   std::uint64_t max_running = 0;
   /// Serving starts at this instant on the simulated clock (arrivals
-  /// before it are immediately available).  The fault-tolerant engine uses
-  /// it to resume after a repair; times in the fault schedule are always
-  /// absolute on this same clock.
+  /// before it are immediately available).  OfflineEngine's recovery loop
+  /// uses it to resume after a repair; times in the fault schedule are
+  /// always absolute on this same clock.
   double start_us = 0.0;
   /// Serving pauses once the simulated clock reaches this instant: no new
   /// iteration starts at or past it (one already under way completes).
@@ -182,9 +202,6 @@ class RequestScheduler {
   /// global obs registry during serve.  Off by default; recording never
   /// changes RequestStats.
   void set_observe(bool on) { observe_ = on; }
-  bool observe() const { return observe_; }
-
-  const sq::sim::ExecutionPlan& plan() const { return plan_; }
 
  private:
   sq::hw::Cluster cluster_;

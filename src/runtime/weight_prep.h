@@ -67,8 +67,6 @@ class WeightPrep {
   PrepStats reprepare(const std::vector<sq::hw::Bitwidth>& old_bits,
                       const std::vector<sq::hw::Bitwidth>& new_bits) const;
 
-  const Options& options() const { return opts_; }
-
  private:
   PrepStats run(const std::vector<sq::hw::Bitwidth>& bits,
                 const std::vector<bool>* changed) const;

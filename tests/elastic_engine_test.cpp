@@ -342,6 +342,33 @@ TEST_F(ElasticFixture, PermanentFaultRestartsInFlightEvenUnderMigrate) {
   EXPECT_EQ(es.fleet.jobs_completed, 1u);
 }
 
+TEST_F(ElasticFixture, MigratedRequestsKeepTheirFirstAdmission) {
+  // A request that crosses a plan switch in flight keeps the outcome of
+  // its first admission: admit_s from before the event, its prompt size,
+  // and the preemptions of every segment it was served in.
+  constexpr double kJoinS = 3.0;
+  const MembershipTimeline t = parse_membership_spec("join:2xV100@3").timeline;
+  const ElasticStats es = engine().serve(one_job(burst(64)), options(&t));
+  ASSERT_TRUE(es.feasible) << es.failure;
+  EXPECT_EQ(es.replans, 1u);
+  ASSERT_GT(es.migrations, 0u);
+  const auto& rs = es.fleet.jobs[0].continuous;
+  EXPECT_EQ(rs.completed, 64u);
+  std::uint64_t admitted_before_join = 0;
+  std::uint64_t preemptions = 0;
+  for (const auto& o : rs.requests) {
+    EXPECT_TRUE(o.completed);
+    EXPECT_EQ(o.prompt_tokens, 512u) << o.id;
+    EXPECT_GE(o.admit_s, o.arrive_s) << o.id;
+    EXPECT_LE(o.admit_s, o.finish_s) << o.id;
+    if (o.admit_s < kJoinS) ++admitted_before_join;
+    preemptions += o.preemptions;
+  }
+  // Every migrated request was admitted (and prefilled) before the join.
+  EXPECT_GE(admitted_before_join, es.migrations);
+  EXPECT_EQ(preemptions, rs.preemptions);
+}
+
 TEST_F(ElasticFixture, CostLedgerChargesHeldDevices) {
   const MembershipTimeline t =
       parse_membership_spec("join:2xV100@2,leave:node1@6").timeline;

@@ -18,6 +18,7 @@
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "runtime/engine.h"
+#include "sim/faults.h"
 #include "workload/profile.h"
 
 namespace sq::obs {
@@ -267,6 +268,53 @@ TEST_F(ObsTest, ServeStatsBitIdenticalWithMetricsOnVsOff) {
     if (c.name == "runtime.waves") saw_waves = c.value > 0;
   }
   EXPECT_TRUE(saw_waves);
+}
+
+TEST_F(ObsTest, FaultedBatchServeRecordsRuntimeWaves) {
+  // Batch serving has one wave loop; under a fault schedule it records the
+  // same runtime.* surface as a fault-free serve, counting completed waves
+  // only (aborted waves re-run and are counted once).
+  const auto m = sq::model::spec(sq::model::ModelId::kOpt13B);
+  const auto cluster = sq::hw::paper_cluster(9);
+  sq::sim::ExecutionPlan plan;
+  const int per = m.n_layers / 4;
+  for (int s = 0; s < 4; ++s) {
+    plan.stages.push_back({{s}, s * per, s + 1 == 4 ? m.n_layers : (s + 1) * per});
+  }
+  plan.layer_bits.assign(static_cast<std::size_t>(m.n_layers),
+                         sq::hw::Bitwidth::kInt8);
+  plan.prefill_microbatch = 4;
+  plan.decode_microbatch = 16;
+  const std::vector<sq::sim::BatchWorkload> batches = {{16, 512, 32, 2048},
+                                                       {16, 256, 16, 2048}};
+
+  sq::runtime::OfflineEngine eng(cluster, m, plan);
+  eng.set_observe(true);
+  const sq::runtime::ServeStats healthy = eng.serve(batches);
+  ASSERT_TRUE(healthy.feasible) << healthy.failure;
+  Registry::global().reset();
+
+  sq::sim::FaultSchedule faults;
+  faults.events.push_back({sq::sim::FaultKind::kDeviceFail, 1,
+                           healthy.total_seconds * 0.5 * 1e6, 1e5});
+  sq::runtime::RecoveryOptions opts;
+  opts.faults = &faults;
+  const sq::runtime::RecoveryStats r = eng.serve(batches, opts);
+  ASSERT_TRUE(r.serve.feasible) << r.serve.failure;
+  ASSERT_GE(r.faults_hit, 1u);
+
+  const Snapshot snap = Registry::global().snapshot();
+  double waves = -1.0;
+  double batches_seen = -1.0;
+  double aborts = -1.0;
+  for (const auto& c : snap.counters) {
+    if (c.name == "runtime.waves") waves = static_cast<double>(c.value);
+    if (c.name == "runtime.batches") batches_seen = static_cast<double>(c.value);
+    if (c.name == "fault.aborts") aborts = static_cast<double>(c.value);
+  }
+  EXPECT_EQ(waves, static_cast<double>(r.serve.waves));
+  EXPECT_EQ(batches_seen, static_cast<double>(r.serve.batches));
+  EXPECT_EQ(aborts, static_cast<double>(r.faults_hit));
 }
 
 }  // namespace

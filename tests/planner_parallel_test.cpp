@@ -1,6 +1,6 @@
 // Determinism contract of the parallel plan search: every thread count —
-// including the legacy sequential path (num_threads == 1, which also
-// bypasses the shared stage-time cache) — must produce the identical
+// including num_threads == 1, which runs inline on the calling thread over
+// the same shared stage-time cache — must produce the identical
 // PlanResult, bit-for-bit, on the paper clusters.
 #include <gtest/gtest.h>
 

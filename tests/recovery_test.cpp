@@ -10,7 +10,6 @@
 #include "core/repair.h"
 #include "core_test_util.h"
 #include "runtime/engine.h"
-#include "runtime/recovery.h"
 #include "sim/faults.h"
 #include "sim/plan_io.h"
 
@@ -61,13 +60,13 @@ class RecoveryFixture : public ::testing::Test {
 
   Harness h_;
   sq::sim::ExecutionPlan plan_;
-  FaultTolerantEngine eng_;
+  OfflineEngine eng_;
   std::vector<sq::sim::BatchWorkload> batches_;
   ServeStats healthy_;
 };
 
 TEST_F(RecoveryFixture, FaultFreeMatchesOfflineEngineBitForBit) {
-  const RecoveryStats r = eng_.serve(batches_);
+  const RecoveryStats r = eng_.serve(batches_, RecoveryOptions{});
   ASSERT_TRUE(r.serve.feasible) << r.serve.failure;
   EXPECT_EQ(r.serve.total_seconds, healthy_.total_seconds);
   EXPECT_EQ(r.serve.output_tokens, healthy_.output_tokens);

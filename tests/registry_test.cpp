@@ -1,6 +1,10 @@
 // Tests for the model registry (Sec. VI-A model lineup).
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <ostream>
+#include <string>
+
 #include "model/registry.h"
 
 namespace sq::model {
@@ -24,6 +28,10 @@ struct SizeCase {
   double tolerance;
 };
 
+// Print cases by published size: the default byte dump would put the
+// struct's padding into the test ids.
+void PrintTo(const SizeCase& c, std::ostream* os) { *os << c.billions << "B"; }
+
 class ParamCount : public ::testing::TestWithParam<SizeCase> {};
 
 TEST_P(ParamCount, MatchesPublishedSize) {
@@ -45,12 +53,22 @@ INSTANTIATE_TEST_SUITE_P(
                       SizeCase{ModelId::kQwen25_7B, 7.6, 1.0},
                       SizeCase{ModelId::kQwen25_14B, 14.7, 1.5},
                       SizeCase{ModelId::kQwen25_32B, 32.5, 3.0},
-                      SizeCase{ModelId::kLlama33_70B, 70.0, 4.0}));
+                      SizeCase{ModelId::kLlama33_70B, 70.0, 4.0}),
+    // Name each case after its model ("OPT_1_3B").
+    [](const ::testing::TestParamInfo<SizeCase>& info) {
+      std::string name = spec(info.param.id).name;
+      for (char& c : name) {
+        if (!std::isalnum(static_cast<unsigned char>(c))) c = '_';
+      }
+      return name;
+    });
 
 TEST(Registry, LookupByNameNormalizes) {
   EXPECT_EQ(spec_by_name("OPT-30B").name, "OPT-30B");
   EXPECT_EQ(spec_by_name("opt30b").name, "OPT-30B");
   EXPECT_EQ(spec_by_name("qwen2.5-14b-instruct").name, "Qwen2.5-14B-Instruct");
+  EXPECT_EQ(spec_by_name("OPT-13B").name, "OPT-13B");
+  EXPECT_EQ(spec_by_name("OPT-1.3B").name, "OPT-1.3B");
   EXPECT_THROW(spec_by_name("gpt-5"), std::invalid_argument);
 }
 

@@ -387,7 +387,7 @@ Replanner single_stage_replanner(const sq::model::LlmSpec& m) {
 
 TEST(RequestScheduler, ServeContinuousRepairsAndResumes) {
   const auto m = sq::model::spec(sq::model::ModelId::kOpt1_3B);
-  const FaultTolerantEngine eng(two_v100(), m, plan_for(m, 2, Bitwidth::kInt8));
+  const OfflineEngine eng(two_v100(), m, plan_for(m, 2, Bitwidth::kInt8));
   const auto arrivals = burst_trace(24);
   const sq::sim::FaultParse fp = sq::sim::parse_fault_spec("fail:1@3");
   ASSERT_TRUE(fp.ok) << fp.error;
@@ -419,7 +419,7 @@ TEST(RequestScheduler, ServeContinuousRepairsAndResumes) {
 
 TEST(RequestScheduler, ServeContinuousWithoutRepairLosesRemaining) {
   const auto m = sq::model::spec(sq::model::ModelId::kOpt1_3B);
-  const FaultTolerantEngine eng(two_v100(), m, plan_for(m, 2, Bitwidth::kInt8));
+  const OfflineEngine eng(two_v100(), m, plan_for(m, 2, Bitwidth::kInt8));
   const auto arrivals = burst_trace(24);
   const sq::sim::FaultParse fp = sq::sim::parse_fault_spec("fail:1@3");
   ASSERT_TRUE(fp.ok) << fp.error;
@@ -440,10 +440,11 @@ TEST(RequestScheduler, ServeContinuousWithoutRepairLosesRemaining) {
 TEST(RequestScheduler, FaultFreeServeContinuousMatchesPlainScheduler) {
   const auto m = sq::model::spec(sq::model::ModelId::kOpt1_3B);
   const auto plan = plan_for(m, 2, Bitwidth::kInt8);
-  const FaultTolerantEngine eng(two_v100(), m, plan);
+  const OfflineEngine eng(two_v100(), m, plan);
   const RequestScheduler sched(two_v100(), m, plan, eng.backend_efficiency());
   const auto arrivals = burst_trace(16);
-  EXPECT_TRUE(identical(eng.serve_continuous(arrivals), sched.serve(arrivals)));
+  EXPECT_TRUE(identical(eng.serve_continuous(arrivals, RecoveryOptions{}),
+                        sched.serve(arrivals)));
 }
 
 }  // namespace
