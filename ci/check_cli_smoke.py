@@ -176,6 +176,9 @@ def main() -> int:
             errors += 1
         if run(cli, ["--no-such-flag"], 2, "unknown flag") is None:
             errors += 1
+        proc = run(cli, ["--help"], 0, "--help")
+        if proc is None or not proc.stdout.startswith("usage:"):
+            errors += 1
 
         # 8. Malformed workload/fault specs must exit 2 with a one-line
         # diagnostic naming the offending item — never a crash and never a
@@ -208,6 +211,17 @@ def main() -> int:
         errors += run_rejects(
             cli, [*BASE, "--serve", "--continuous", "--migration", "teleport"],
             "bad --migration")
+
+        # 9. Numeric flags are parsed strictly: junk, signs, non-finite and
+        # out-of-range values exit 2 with a one-line diagnostic.
+        for flag, value, extra in (
+                ("--requests", "-5", []), ("--batch", "abc", ["--serve"]),
+                ("--threads", "abc", []), ("--theta", "nan", []),
+                ("--shards", "2x", []), ("--cluster", "3x", []),
+                ("--cluster", "11", []), ("--theta", "inf", []),
+                ("--batch", "0", []), ("--threads", "1e3", [])):
+            errors += run_rejects(cli, [*BASE, *extra, flag, value],
+                                  f"bad {flag} {value}")
 
     if errors:
         print(f"FAIL: {errors} CLI smoke error(s)", file=sys.stderr)

@@ -4,79 +4,9 @@
 //   splitquant_cli --model OPT-30B --cluster 5 --workload cnn
 //                  --theta 10 --scheme splitquant --serve
 //
-// Flags:
-//   --model <name>      registry name (default OPT-30B); see --list-models
-//   --cluster <1..10>   Table III cluster id (default 5)
-//   --workload <cnn|loogle|sharegpt>   (default cnn)
-//   --scheme <splitquant|uniform|het|adabits>  (default splitquant)
-//   --theta <float>     quality scalar (default 10)
-//   --batch <n>         max concurrent requests (default 128)
-//   --requests <n>      requests to sample/serve (default 256)
-//   --threads <n>       planner + tensor-kernel worker threads (0 =
-//                       hardware concurrency, 1 = sequential; plans and
-//                       kernel results are identical either way)
-//   --custom-backend    enable INT3 / custom-backend efficiency
-//   --heuristic         bitwidth transfer instead of the ILP
-//   --serve             run the serving simulation after planning
-//   --continuous        with --serve: continuous-batching mode — serve an
-//                       arrival timeline through the iteration-level
-//                       request scheduler instead of whole-batch waves
-//                       (with --shards, every job becomes an arrival
-//                       timeline).  Composes with --faults.
-//   --arrivals <spec>   arrival timeline for --continuous (default
-//                       "burst:<requests>@0").  Spec grammar
-//                       (comma-separated segments, times in seconds):
-//                         burst:<n>@<t>        n requests together at t
-//                         uniform:<n>@<t>x<r>  n requests at r req/s from t
-//                         poisson:<n>@<t>x<r>  n requests, seeded
-//                                              exponential gaps of mean 1/r
-//                       With --shards --jobs, the spec replaces each job's
-//                       request count (lengths/gaps re-seeded per job).
-//   --faults <spec>     inject a deterministic fault schedule into --serve
-//                       and recover via plan repair.  Spec grammar
-//                       (comma-separated, times in simulated seconds):
-//                         fail:<dev>@<t>         permanent device failure
-//                         fail:<dev>@<t>+<d>     transient failure (retried)
-//                         slow:<dev>@<t>[+<d>]x<f>   straggler, f > 1
-//                         link:<dev>@<t>[+<d>]x<f>   link degradation
-//                       "random:<seed>:<n>" draws <n> seeded events instead.
-//   --no-repair         with --faults: disable plan repair (baseline; a
-//                       permanent failure loses the remaining workload)
-//   --elastic <spec>    serve under a dynamic membership timeline (requires
-//                       --serve --continuous, single shard): the elastic
-//                       engine re-plans on every membership change and
-//                       reports tokens-per-dollar next to tokens/s.  Spec
-//                       grammar (comma-separated, times in simulated
-//                       seconds):
-//                         join:<n>x<type>@<t>   n GPUs of <type> offered
-//                                               (T4|P100|V100|A100-40G)
-//                         leave:node<k>@<t>     node k leaves gracefully
-//                         leave:<dev>@<t>       one device leaves
-//                         price:<type>=<p>@<t>  $/device-hour repriced
-//                       "random:<seed>:<n>" draws <n> seeded events instead.
-//                       Composes with --faults (failures restart in-flight
-//                       work; graceful leaves migrate it).
-//   --migration <p>     in-flight policy at an elastic plan switch:
-//                       auto|migrate|drain|restart (default auto)
-//   --shards <K>        partition the cluster into K disjoint replica
-//                       groups (sharded planner, src/core/sharding.h) and
-//                       plan each; with --serve the jobs run through the
-//                       fleet engine's deterministic multi-job scheduler.
-//                       K=1 reproduces the plain planner.
-//   --jobs <spec>       multi-job workload for --shards --serve:
-//                       comma-separated <name>:<requests> items, each
-//                       sampled independently from --workload (seeded by
-//                       job position).  Default: one job per shard of
-//                       --requests each.
-//   --save-plan <file>  write the chosen plan to a file (with --shards,
-//                       group g goes to <file>.shard<g>)
-//   --load-plan <file>  skip planning, execute a previously saved plan
-//   --metrics <file>    enable the observability layer and write its JSON
-//                       export (planner counters, cache hit rates, serving
-//                       spans on the simulated clock) to <file>; a human
-//                       summary is printed to stdout.  Metrics never change
-//                       the chosen plan or the serving stats.
-//   --list-models       print the model registry and exit
+// Flags: see kUsage below (printed by --help).  Numeric flags are parsed
+// strictly; a malformed or out-of-range value exits 2 with a one-line
+// diagnostic.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -88,6 +18,7 @@
 #include "core/planner.h"
 #include "core/repair.h"
 #include "core/sharding.h"
+#include "common/spec_util.h"
 #include "elastic/elastic_engine.h"
 #include "elastic/membership.h"
 #include "runtime/fleet.h"
@@ -104,6 +35,83 @@
 #include "workload/profile.h"
 
 namespace {
+
+constexpr const char* kUsage = R"(usage: splitquant_cli [flags]
+
+  --model <name>      registry name (default OPT-30B); see --list-models
+  --cluster <1..10>   Table III cluster id (default 5)
+  --workload <cnn|loogle|sharegpt>   (default cnn)
+  --scheme <splitquant|uniform|het|adabits>  (default splitquant)
+  --theta <float>     quality scalar, 0..1e6 (default 10)
+  --batch <n>         max concurrent requests, 1..65536 (default 128)
+  --requests <n>      requests to sample/serve, 1..10^7 (default 256)
+  --threads <n>       planner + tensor-kernel worker threads, 0..256 (0 =
+                      hardware concurrency, 1 = sequential; plans and
+                      kernel results are identical either way)
+  --custom-backend    enable INT3 / custom-backend efficiency
+  --heuristic         bitwidth transfer instead of the ILP
+  --serve             run the serving simulation after planning
+  --continuous        with --serve: continuous-batching mode — serve an
+                      arrival timeline through the iteration-level
+                      request scheduler instead of whole-batch waves
+                      (with --shards, every job becomes an arrival
+                      timeline).  Composes with --faults.
+  --arrivals <spec>   arrival timeline for --continuous (default
+                      "burst:<requests>@0").  Spec grammar
+                      (comma-separated segments, times in seconds):
+                        burst:<n>@<t>        n requests together at t
+                        uniform:<n>@<t>x<r>  n requests at r req/s from t
+                        poisson:<n>@<t>x<r>  n requests, seeded
+                                             exponential gaps of mean 1/r
+                      With --shards --jobs, the spec replaces each job's
+                      request count (lengths/gaps re-seeded per job).
+  --faults <spec>     inject a deterministic fault schedule into --serve
+                      and recover via plan repair.  Spec grammar
+                      (comma-separated, times in simulated seconds):
+                        fail:<dev>@<t>         permanent device failure
+                        fail:<dev>@<t>+<d>     transient failure (retried)
+                        slow:<dev>@<t>[+<d>]x<f>   straggler, f > 1
+                        link:<dev>@<t>[+<d>]x<f>   link degradation
+                      "random:<seed>:<n>" draws <n> seeded events instead.
+  --no-repair         with --faults: disable plan repair (baseline; a
+                      permanent failure loses the remaining workload)
+  --elastic <spec>    serve under a dynamic membership timeline (requires
+                      --serve --continuous, single shard): the elastic
+                      engine re-plans on every membership change and
+                      reports tokens-per-dollar next to tokens/s.  Spec
+                      grammar (comma-separated, times in simulated
+                      seconds):
+                        join:<n>x<type>@<t>   n GPUs of <type> offered
+                                              (T4|P100|V100|A100-40G)
+                        leave:node<k>@<t>     node k leaves gracefully
+                        leave:<dev>@<t>       one device leaves
+                        price:<type>=<p>@<t>  $/device-hour repriced
+                      "random:<seed>:<n>" draws <n> seeded events instead.
+                      Composes with --faults (failures restart in-flight
+                      work; graceful leaves migrate it).
+  --migration <p>     in-flight policy at an elastic plan switch:
+                      auto|migrate|drain|restart (default auto)
+  --shards <K>        partition the cluster into K (1..64) disjoint replica
+                      groups (sharded planner, src/core/sharding.h) and
+                      plan each; with --serve the jobs run through the
+                      fleet engine's deterministic multi-job scheduler.
+                      K=1 reproduces the plain planner.
+  --jobs <spec>       multi-job workload for --shards --serve:
+                      comma-separated <name>:<requests> items, each
+                      sampled independently from --workload (seeded by
+                      job position).  Default: one job per shard of
+                      --requests each.
+  --save-plan <file>  write the chosen plan to a file (with --shards,
+                      group g goes to <file>.shard<g>)
+  --load-plan <file>  skip planning, execute a previously saved plan
+  --metrics <file>    enable the observability layer and write its JSON
+                      export (planner counters, cache hit rates, serving
+                      spans on the simulated clock) to <file>; a human
+                      summary is printed to stdout.  Metrics never change
+                      the chosen plan or the serving stats.
+  --list-models       print the model registry and exit
+  --help              print this message and exit
+)";
 
 struct Args {
   std::string model = "OPT-30B";
@@ -141,14 +149,29 @@ bool parse(int argc, char** argv, Args* out) {
       }
       return argv[++i];
     };
+    // Strict numeric value of `flag` in [lo, hi]; exits 2 otherwise.
+    auto number = [&]<typename T>(const char* flag, T lo, T hi, T* dst) {
+      const std::string err =
+          sq::common::parse_flag_number(flag, next(flag), lo, hi, dst);
+      if (!err.empty()) {
+        std::fprintf(stderr, "%s\n", err.c_str());
+        std::exit(2);
+      }
+    };
+    if (a == "--help") {
+      std::fputs(kUsage, stdout);
+      std::exit(0);
+    }
     if (a == "--model") out->model = next("--model");
-    else if (a == "--cluster") out->cluster = std::atoi(next("--cluster"));
+    else if (a == "--cluster")
+      number("--cluster", 1, sq::hw::kPaperClusterCount, &out->cluster);
     else if (a == "--workload") out->workload = next("--workload");
     else if (a == "--scheme") out->scheme = next("--scheme");
-    else if (a == "--theta") out->theta = std::atof(next("--theta"));
-    else if (a == "--batch") out->batch = std::strtoull(next("--batch"), nullptr, 10);
-    else if (a == "--requests") out->requests = std::atoi(next("--requests"));
-    else if (a == "--threads") out->threads = std::atoi(next("--threads"));
+    else if (a == "--theta") number("--theta", 0.0, 1e6, &out->theta);
+    else if (a == "--batch")
+      number("--batch", std::uint64_t{1}, std::uint64_t{65536}, &out->batch);
+    else if (a == "--requests") number("--requests", 1, 10'000'000, &out->requests);
+    else if (a == "--threads") number("--threads", 0, 256, &out->threads);
     else if (a == "--custom-backend") out->custom_backend = true;
     else if (a == "--heuristic") out->heuristic = true;
     else if (a == "--serve") out->serve = true;
@@ -158,7 +181,7 @@ bool parse(int argc, char** argv, Args* out) {
     else if (a == "--no-repair") out->no_repair = true;
     else if (a == "--elastic") out->elastic = next("--elastic");
     else if (a == "--migration") out->migration = next("--migration");
-    else if (a == "--shards") out->shards = std::atoi(next("--shards"));
+    else if (a == "--shards") number("--shards", 1, 64, &out->shards);
     else if (a == "--jobs") out->jobs = next("--jobs");
     else if (a == "--save-plan") out->save_plan = next("--save-plan");
     else if (a == "--load-plan") out->load_plan = next("--load-plan");
@@ -464,10 +487,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s (try --list-models)\n", e.what());
     return 2;
   }
-  if (args.cluster < 1 || args.cluster > hw::kPaperClusterCount) {
-    std::fprintf(stderr, "--cluster must be 1..10\n");
-    return 2;
-  }
   const hw::Cluster cluster = hw::paper_cluster(args.cluster);
 
   if (!args.metrics.empty()) obs::set_enabled(true);
@@ -493,10 +512,6 @@ int main(int argc, char** argv) {
   // at every thread count; see src/tensor/gemm.h).
   tensor::set_kernel_threads(args.threads);
 
-  if (args.shards < 1) {
-    std::fprintf(stderr, "--shards must be >= 1\n");
-    return 2;
-  }
   if (args.shards > 1) {
     if (!args.load_plan.empty()) {
       std::fprintf(stderr, "--load-plan is not supported with --shards\n");

@@ -1,5 +1,5 @@
 // Shared tokenization for the comma-separated CLI spec grammars
-// (--faults, --jobs, --elastic, ...).
+// (--faults, --jobs, --elastic, ...) and the strict numeric flag parse.
 //
 // Every spec parser used to hand-roll its own splitting, and the details
 // drifted: parse_fault_spec (getline-based) skipped empty segments but
@@ -18,7 +18,11 @@
 // (sq_sim, sq_runtime, sq_elastic) and this must not add link edges.
 #pragma once
 
+#include <cmath>
+#include <cstdio>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace sq::common {
@@ -87,6 +91,37 @@ inline bool parse_spec_uint(const std::string& s, long long* out) {
   } catch (...) {
     return false;
   }
+}
+
+/// Strict numeric flag value (--threads, --theta, ...): the whole of `s`
+/// must parse (parse_spec_uint for integral T, so signs are rejected;
+/// parse_spec_double otherwise), be finite and lie in [lo, hi].  On success
+/// sets *out and returns ""; otherwise returns a one-line diagnostic naming
+/// `flag` and leaves *out untouched.
+template <typename T>
+std::string parse_flag_number(const std::string& flag, const std::string& s, T lo,
+                              T hi, T* out) {
+  bool ok = false;
+  T v{};
+  char range[96];
+  if constexpr (std::is_integral_v<T>) {
+    long long parsed = 0;
+    ok = parse_spec_uint(s, &parsed) && std::cmp_greater_equal(parsed, lo) &&
+         std::cmp_less_equal(parsed, hi);
+    v = static_cast<T>(parsed);
+    std::snprintf(range, sizeof range, "an integer in [%lld, %llu]",
+                  static_cast<long long>(lo), static_cast<unsigned long long>(hi));
+  } else {
+    double parsed = 0.0;
+    ok = parse_spec_double(s, &parsed) && std::isfinite(parsed) && parsed >= lo &&
+         parsed <= hi;
+    v = static_cast<T>(parsed);
+    std::snprintf(range, sizeof range, "a finite number in [%g, %g]",
+                  static_cast<double>(lo), static_cast<double>(hi));
+  }
+  if (!ok) return "bad " + flag + " '" + s + "' (want " + range + ")";
+  *out = v;
+  return "";
 }
 
 }  // namespace sq::common

@@ -112,21 +112,24 @@ IlpOutcome solve_ilp(const PlanContext& ctx, const std::optional<HeuristicPlan>&
     p.add_constraint(std::move(c));
   }
 
-  // (16): contiguity via monotone stage indices:
-  // sum_j j*z_g - sum_j j*z_{g-1} >= 0.
+  // (16): contiguity in prefix form.  For every stage j < J-1: if group g
+  // sits on a stage <= j, so does group g-1:
+  // sum_{j'<=j,b} z_{g,j',b} - sum_{j'<=j,b} z_{g-1,j',b} <= 0.
+  // Same integer points as monotone stage indices, tighter relaxation;
+  // stated as <= 0 so each row starts on a slack, not a phase-1 artificial.
   for (int g = 1; g < G; ++g) {
-    Constraint c;
-    c.sense = Sense::kGe;
-    c.rhs = 0.0;
-    for (int j = 0; j < J; ++j) {
-      for (int bi = 0; bi < B; ++bi) {
-        if (j > 0) {
-          c.terms.push_back({zid(g, j, bi), static_cast<double>(j)});
-          c.terms.push_back({zid(g - 1, j, bi), -static_cast<double>(j)});
+    for (int j = 0; j + 1 < J; ++j) {
+      Constraint c;
+      c.sense = Sense::kLe;
+      c.rhs = 0.0;
+      for (int jp = 0; jp <= j; ++jp) {
+        for (int bi = 0; bi < B; ++bi) {
+          c.terms.push_back({zid(g - 1, jp, bi), -1.0});
+          c.terms.push_back({zid(g, jp, bi), 1.0});
         }
       }
+      p.add_constraint(std::move(c));
     }
-    p.add_constraint(std::move(c));
   }
 
   // Optional quality budget: sum z*omega <= budget.

@@ -6,9 +6,17 @@
 // plus continuous straggler times T_max^pre and T_max^dec.  Constraints:
 // one assignment per group (9)-(11 collapsed), per-stage memory with the
 // master's embedding block (12)-(13), straggler definitions (5)-(6),
-// communication bounds (7), monotone stage indices encoding the contiguous
-// partition (15)-(16), and an optional quality budget.  The objective is
-// the generalized pipeline latency plus theta times the quality penalty.
+// communication bounds (7), the stage-0 anchor (15), the contiguous
+// partition (16), and an optional quality budget.  The objective is the
+// generalized pipeline latency plus theta times the quality penalty.
+//
+// (16) is stated in prefix form: for every g >= 1 and stage j < J-1,
+// sum_{j'<=j,b} z_{g,j',b} - sum_{j'<=j,b} z_{g-1,j',b} <= 0 ("if group g
+// sits on a stage <= j, so does group g-1").  It admits exactly the
+// integer points of the aggregated row sum_j j*z_g >= sum_j j*z_{g-1}, but
+// its LP relaxation is much tighter: (G-1)(J-1) rows instead of G-1, and
+// far fewer branch-and-bound nodes.  The assignment rows and the anchor are
+// unit one-hot rows, which the solver branches on as sets (milp.h).
 #pragma once
 
 #include <optional>

@@ -109,6 +109,12 @@ void quantize_row_reference(std::span<const float> row, Bitwidth bits,
 std::vector<double> spd_inverse(const std::vector<double>& a, std::size_t n,
                                 sq::common::ThreadPool* pool) {
   constexpr std::size_t kPanel = 64;
+  // Below this order the O(n^3) trailing update and column solves take
+  // less time than the parallel_for dispatches that would spread them
+  // (with 160 input rows, a 4-thread GPTQ sweep fanning out here ran 2x
+  // slower than the scalar reference), so small inverses run on the caller.
+  constexpr std::size_t kFanOutMinN = 256;
+  if (n < kFanOutMinN) pool = nullptr;
   std::vector<double> l(a);  // working copy; strict upper zeroed below
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = i + 1; j < n; ++j) l[i * n + j] = 0.0;
@@ -121,12 +127,12 @@ std::vector<double> spd_inverse(const std::vector<double>& a, std::size_t n,
       for (std::size_t k = c0; k < j; ++k) acc -= l[j * n + k] * l[j * n + k];
       const double diag = std::sqrt(std::max(acc, 1e-12));
       l[j * n + j] = diag;
-      sq::common::parallel_for(pool, n - (j + 1), [&](std::size_t t) {
-        const std::size_t i = j + 1 + t;
+      // Serial: fewer than n rows of under kPanel multiply-adds each.
+      for (std::size_t i = j + 1; i < n; ++i) {
         double v = l[i * n + j];
         for (std::size_t k = c0; k < j; ++k) v -= l[i * n + k] * l[j * n + k];
         l[i * n + j] = v / diag;
-      });
+      }
     }
     // Trailing update: fold this panel's columns into the not-yet-factored
     // lower triangle, rows independent.

@@ -9,8 +9,12 @@
 //
 // Canonical form: minimize c.x subject to per-row { a.x (<=|>=|=) b } and
 // x >= 0 elementwise.  Upper bounds on variables are not represented
-// directly; the MILP layer handles binary fixing by substitution and the
+// directly; the MILP layer handles binary fixing by substitution (a set
+// branch pins a whole prefix or suffix of a one-hot row to 0) and the
 // assigner's formulation implies z <= 1 through its assignment equalities.
+// Rows written as `<=` with a nonnegative rhs start on a slack; `>=` and
+// `=` rows need a phase-1 artificial, so the assigner states its many
+// contiguity rows as `<= 0`.
 #pragma once
 
 #include <cstddef>

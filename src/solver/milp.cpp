@@ -6,6 +6,7 @@
 #include <limits>
 #include <memory>
 #include <queue>
+#include <span>
 
 namespace sq::solver {
 
@@ -38,6 +39,54 @@ int most_fractional(const std::vector<double>& x, const std::vector<int>& bins,
     if (frac > best_frac) {
       best_frac = frac;
       best = v;
+    }
+  }
+  return best;
+}
+
+/// One-hot set: the variables of an equality row whose terms are all
+/// binaries with coefficient 1 and whose rhs is 1, in row order.
+using OneHotSet = std::vector<int>;
+
+std::vector<OneHotSet> one_hot_sets(const LpProblem& p, const std::vector<int>& bins) {
+  std::vector<std::uint8_t> is_bin(static_cast<std::size_t>(p.num_vars()), 0);
+  for (int v : bins) is_bin[static_cast<std::size_t>(v)] = 1;
+  std::vector<OneHotSet> sets;
+  for (const auto& row : p.constraints()) {
+    if (row.sense != Sense::kEq || row.rhs != 1.0 || row.terms.size() < 2) continue;
+    OneHotSet s;
+    for (const auto& t : row.terms) {
+      if (t.coeff != 1.0 || !is_bin[static_cast<std::size_t>(t.var)]) break;
+      s.push_back(t.var);
+    }
+    if (s.size() == row.terms.size()) sets.push_back(std::move(s));
+  }
+  return sets;
+}
+
+/// Set branch: the prefix [0, split] of `sets[set]` against the rest.
+struct SetSplit {
+  int set = -1;
+  std::size_t split = 0;
+};
+
+/// The set and split point whose cumulative LP weight is closest to 0.5
+/// (first wins on ties); `set` is -1 when no set has weight on both sides.
+SetSplit best_set_split(const std::vector<OneHotSet>& sets, const std::vector<double>& x,
+                        double tol) {
+  SetSplit best;
+  double best_dist = std::numeric_limits<double>::infinity();
+  for (std::size_t si = 0; si < sets.size(); ++si) {
+    const OneHotSet& s = sets[si];
+    double cum = 0.0;
+    for (std::size_t k = 0; k + 1 < s.size(); ++k) {
+      cum += x[static_cast<std::size_t>(s[k])];
+      if (cum <= tol || cum >= 1.0 - tol) continue;
+      const double dist = std::abs(cum - 0.5);
+      if (dist < best_dist) {
+        best_dist = dist;
+        best = {static_cast<int>(si), k};
+      }
     }
   }
   return best;
@@ -84,6 +133,7 @@ MilpResult BranchAndBound::solve(const LpProblem& p, const std::vector<int>& bin
     open.push(std::move(root));
   }
 
+  const std::vector<OneHotSet> sets = one_hot_sets(p, binary_vars);
   double global_bound = -std::numeric_limits<double>::infinity();
   bool truncated = false;
 
@@ -116,8 +166,10 @@ MilpResult BranchAndBound::solve(const LpProblem& p, const std::vector<int>& bin
     if (rel.status == LpStatus::kIterLimit) continue;
     if (rel.objective >= incumbent - std::abs(incumbent) * opts_.rel_gap) continue;
 
-    const int branch_var = most_fractional(rel.x, binary_vars, opts_.int_tol);
-    if (branch_var < 0) {
+    const SetSplit split = best_set_split(sets, rel.x, opts_.int_tol);
+    const int branch_var =
+        split.set >= 0 ? -1 : most_fractional(rel.x, binary_vars, opts_.int_tol);
+    if (split.set < 0 && branch_var < 0) {
       // Integral point.
       if (rel.objective < incumbent) {
         incumbent = rel.objective;
@@ -130,18 +182,32 @@ MilpResult BranchAndBound::solve(const LpProblem& p, const std::vector<int>& bin
       continue;
     }
 
+    // A child pins `vars` to `val` on top of this node's fixings.
+    auto push_child = [&](std::span<const int> vars, double val) {
+      auto child = std::make_shared<Node>();
+      child->fixed_mask = node->fixed_mask;
+      child->fixed_value = node->fixed_value;
+      for (const int v : vars) {
+        child->fixed_mask[static_cast<std::size_t>(v)] = 1;
+        child->fixed_value[static_cast<std::size_t>(v)] = val;
+      }
+      child->parent_bound = rel.objective;
+      child->depth = node->depth + 1;
+      open.push(std::move(child));
+    };
+    if (split.set >= 0) {
+      // One child keeps the one inside the prefix (suffix fixed to 0), the
+      // other inside the suffix (prefix fixed to 0).
+      const std::span<const int> s = sets[static_cast<std::size_t>(split.set)];
+      push_child(s.subspan(split.split + 1), 0.0);
+      push_child(s.first(split.split + 1), 0.0);
+      continue;
+    }
     const double frac = rel.x[static_cast<std::size_t>(branch_var)];
     // Child closer to the LP value is pushed last-equal-bound so the queue
     // dives toward it first.
     for (const double val : {frac >= 0.5 ? 1.0 : 0.0, frac >= 0.5 ? 0.0 : 1.0}) {
-      auto child = std::make_shared<Node>();
-      child->fixed_mask = node->fixed_mask;
-      child->fixed_value = node->fixed_value;
-      child->fixed_mask[static_cast<std::size_t>(branch_var)] = 1;
-      child->fixed_value[static_cast<std::size_t>(branch_var)] = val;
-      child->parent_bound = rel.objective;
-      child->depth = node->depth + 1;
-      open.push(std::move(child));
+      push_child({&branch_var, 1}, val);
     }
   }
 

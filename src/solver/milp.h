@@ -6,6 +6,15 @@
 // bound rows — relying on the formulation's assignment equalities to cap
 // relaxed binaries at 1.  Supports a wall-clock time limit (Table VI runs
 // the solver with a 60 s cap) and warm-start incumbents from heuristics.
+//
+// Branching rule: one-hot sets first.  Every equality row whose terms are
+// all binaries with coefficient 1 and whose rhs is 1 is a set (in the
+// assigner: one row per layer group, plus the stage-0 anchor).  At a
+// fractional node the solver picks the set and split point whose
+// cumulative LP weight (in row order) is closest to 0.5, first wins on
+// ties; one child fixes the set's suffix to 0, the other its prefix.  Only
+// when no set splits does it branch on the most fractional binary.  Nodes
+// are explored best-first by parent bound, deeper first on ties.
 #pragma once
 
 #include <cstdint>

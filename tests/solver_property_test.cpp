@@ -24,7 +24,11 @@ struct RandomMilp {
   int n = 0;
 };
 
-RandomMilp make_random_milp(std::uint64_t seed, int n_groups, int n_choices) {
+/// `onehot_scale` multiplies each one-hot row (coefficients and rhs): at 1
+/// the rows are unit-coefficient equalities and branch-and-bound splits
+/// them as sets; at any other scale it branches on single variables.
+RandomMilp make_random_milp(std::uint64_t seed, int n_groups, int n_choices,
+                            double onehot_scale = 1.0) {
   sq::tensor::Rng rng(seed);
   RandomMilp m;
   m.n = n_groups * n_choices;
@@ -40,8 +44,10 @@ RandomMilp make_random_milp(std::uint64_t seed, int n_groups, int n_choices) {
   for (int g = 0; g < n_groups; ++g) {
     Constraint c;
     c.sense = Sense::kEq;
-    c.rhs = 1.0;
-    for (const int v : z[static_cast<std::size_t>(g)]) c.terms.push_back({v, 1.0});
+    c.rhs = onehot_scale;
+    for (const int v : z[static_cast<std::size_t>(g)]) {
+      c.terms.push_back({v, onehot_scale});
+    }
     m.p.add_constraint(std::move(c));
   }
   // Two random knapsack rows coupling the groups.
@@ -90,21 +96,31 @@ double brute_force(const RandomMilp& m, int n_groups, int n_choices) {
 
 class MilpVsBruteForce : public ::testing::TestWithParam<std::uint64_t> {};
 
-TEST_P(MilpVsBruteForce, MatchesExhaustiveOptimum) {
+void expect_matches_brute_force(std::uint64_t seed, double onehot_scale) {
   const int n_groups = 6, n_choices = 3;  // 729 assignments
-  const RandomMilp m = make_random_milp(GetParam(), n_groups, n_choices);
+  const RandomMilp m = make_random_milp(seed, n_groups, n_choices, onehot_scale);
   const double truth = brute_force(m, n_groups, n_choices);
 
   MilpOptions opts;
   opts.time_limit_s = 30.0;
   const MilpResult r = BranchAndBound(opts).solve(m.p, m.binaries);
   if (std::isinf(truth)) {
-    EXPECT_EQ(r.status, MilpStatus::kInfeasible) << "seed " << GetParam();
+    EXPECT_EQ(r.status, MilpStatus::kInfeasible) << "seed " << seed;
   } else {
-    ASSERT_EQ(r.status, MilpStatus::kOptimal) << "seed " << GetParam();
-    EXPECT_NEAR(r.objective, truth, 1e-6) << "seed " << GetParam();
+    ASSERT_EQ(r.status, MilpStatus::kOptimal) << "seed " << seed;
+    EXPECT_NEAR(r.objective, truth, 1e-6) << "seed " << seed;
     EXPECT_LE(m.p.max_violation(r.x), 1e-6);
   }
+}
+
+TEST_P(MilpVsBruteForce, MatchesExhaustiveOptimum) {
+  expect_matches_brute_force(GetParam(), 1.0);
+}
+
+// One-hot rows scaled by 2 are not unit-coefficient equalities, so no set
+// branching applies and the most-fractional variable rule does the work.
+TEST_P(MilpVsBruteForce, MatchesExhaustiveOptimumWithScaledOneHotRows) {
+  expect_matches_brute_force(GetParam(), 2.0);
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomInstances, MilpVsBruteForce,

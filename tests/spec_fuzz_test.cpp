@@ -1,7 +1,8 @@
 // Grammar fuzz tests for the CLI spec parsers: --faults, --jobs,
-// --arrivals and --elastic.  Seeded valid generators must round-trip;
-// seeded mutations and raw ASCII noise must either parse or reject with a
-// one-line diagnostic — exceptions never escape any parser.  The parsers
+// --arrivals and --elastic, plus the strict numeric flag parse.  Seeded
+// valid generators must round-trip; seeded mutations and raw ASCII noise
+// must either parse or reject with a one-line diagnostic — exceptions
+// never escape any parser.  The parsers
 // share one tokenizer (common/spec_util.h), so the whitespace/comma rules
 // are asserted uniformly across grammars.
 #include <gtest/gtest.h>
@@ -10,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "common/spec_util.h"
 #include "elastic/membership.h"
 #include "runtime/fleet.h"
 #include "sim/faults.h"
@@ -344,6 +346,58 @@ TEST(SpecFuzz, TokenizationRejectsEmbeddedWhitespaceEverywhere) {
   EXPECT_FALSE(sq::runtime::parse_jobs_spec("alpha:4 8").ok);
   EXPECT_FALSE(sq::elastic::parse_membership_spec("join:2xT4@ 1").ok);
   EXPECT_FALSE(sq::elastic::parse_membership_spec("price:T4 =1.5@2").ok);
+}
+
+// ------------------------------------------------------ numeric flags
+
+TEST(SpecFuzz, NumericFlagsAcceptInRangeValues) {
+  int threads = -1;
+  EXPECT_EQ(sq::common::parse_flag_number("--threads", "0", 0, 256, &threads), "");
+  EXPECT_EQ(threads, 0);
+  double theta = -1.0;
+  EXPECT_EQ(sq::common::parse_flag_number("--theta", "2.5e1", 0.0, 1e6, &theta), "");
+  EXPECT_EQ(theta, 25.0);
+  std::uint64_t batch = 0;
+  EXPECT_EQ(sq::common::parse_flag_number("--batch", "65536", std::uint64_t{1},
+                                          std::uint64_t{65536}, &batch),
+            "");
+  EXPECT_EQ(batch, 65536u);
+}
+
+TEST(SpecFuzz, NumericFlagsRejectKnownBadValues) {
+  for (const char* s : {"", "-5", "+5", "abc", "2x", "3 ", " 3", "1e3", "0x10",
+                        "257", "99999999999999999999"}) {
+    int v = 7;
+    const std::string err = sq::common::parse_flag_number("--threads", s, 0, 256, &v);
+    EXPECT_FALSE(err.empty()) << "accepted: '" << s << "'";
+    EXPECT_EQ(err.find('\n'), std::string::npos) << s;
+    EXPECT_NE(err.find("--threads"), std::string::npos) << s;
+    EXPECT_EQ(v, 7) << "clobbered by: '" << s << "'";
+  }
+  for (const char* s : {"nan", "inf", "-inf", "1e309", "-0.5", "1e7", "1.5x", "."}) {
+    double v = 7.0;
+    EXPECT_FALSE(sq::common::parse_flag_number("--theta", s, 0.0, 1e6, &v).empty())
+        << "accepted: '" << s << "'";
+    EXPECT_EQ(v, 7.0) << s;
+  }
+}
+
+TEST(SpecFuzz, NoiseNumericFlagsNeverThrowAndStayInRange) {
+  Rng rng(0x5eed);
+  for (int trial = 0; trial < 2000; ++trial) {
+    const std::string s = random_noise(rng, 12);
+    int i = 0;
+    double d = 0.0;
+    std::string ei, ed;
+    ASSERT_NO_THROW(ei = sq::common::parse_flag_number("--shards", s, 1, 64, &i)) << s;
+    ASSERT_NO_THROW(ed = sq::common::parse_flag_number("--theta", s, 0.0, 1e6, &d)) << s;
+    if (ei.empty()) {
+      EXPECT_TRUE(i >= 1 && i <= 64) << s;
+    }
+    if (ed.empty()) {
+      EXPECT_TRUE(d >= 0.0 && d <= 1e6) << s;
+    }
+  }
 }
 
 }  // namespace
