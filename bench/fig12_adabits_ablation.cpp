@@ -2,6 +2,12 @@
 // (pure adaptive quantization over a decoupled even partition) on
 // clusters 5-8 — the ablation showing that partition, precision and
 // micro-batching must be co-optimized.
+//
+// SQ_BENCH_JSON_DIR=<dir> additionally emits BENCH_fig12_adabits_ablation.json
+// with per-cell throughputs and plan fingerprints.  The full sweep takes well
+// under a second, so SQ_BENCH_SMOKE=1 keeps all four cells (it only tags the
+// report); the fingerprints pin the planner's dominance check, which adopts
+// the AdaBits plan where the profiling run says it is faster.
 #include <cmath>
 #include <cstdio>
 #include <vector>
@@ -9,6 +15,8 @@
 #include "bench_util.h"
 
 int main() {
+  sq::bench::BenchReport report("fig12_adabits_ablation");
+  report.meta("smoke", static_cast<std::int64_t>(sq::bench::bench_smoke() ? 1 : 0));
   std::printf("Fig. 12: joint optimization vs pure adaptive quantization (adabits)\n");
   sq::bench::rule(95);
   std::printf("%-10s %-12s %14s %14s %10s\n", "cluster", "model", "adabits",
@@ -18,8 +26,7 @@ int main() {
     int cluster;
     sq::model::ModelId model;
   };
-  double geo = 0.0;
-  int n = 0;
+  sq::bench::GeoMean geo;
   for (const Case c : {Case{5, sq::model::ModelId::kOpt30B},
                        Case{6, sq::model::ModelId::kOpt30B},
                        Case{7, sq::model::ModelId::kOpt66B},
@@ -38,17 +45,26 @@ int main() {
         ada.feasible ? cell.serve(ada.plan, sq::runtime::Backend::kCustom) : 0.0;
     const double t_sq =
         sqr.feasible ? cell.serve(sqr.plan, sq::runtime::Backend::kCustom) : 0.0;
-    const double gain = t_ada > 0 ? t_sq / t_ada : 0.0;
+    const double gain = sq::bench::ratio(t_sq, t_ada);
     std::printf("%-10d %-12s %14.2f %14.2f %9.2fx\n", c.cluster,
                 cell.model.name.c_str(), t_ada, t_sq, gain);
-    if (gain > 0) {
-      geo += std::log(gain);
-      ++n;
-    }
+    geo.add(gain);
+
+    auto& row = report.add_row();
+    row["cluster"] = static_cast<std::int64_t>(c.cluster);
+    row["model"] = cell.model.name;
+    row["adabits_tok_s"] = t_ada;
+    row["splitquant_tok_s"] = t_sq;
+    row["gain"] = gain;
+    row["adabits_fingerprint"] =
+        ada.feasible ? sq::bench::plan_fingerprint(ada.plan) : std::string("-");
+    row["splitquant_fingerprint"] =
+        sqr.feasible ? sq::bench::plan_fingerprint(sqr.plan) : std::string("-");
   }
-  if (n > 0) {
+  if (geo.count() > 0) {
     std::printf("\ngeo-mean gain of joint optimization: %.2fx "
-                "(paper: SplitQuant wins in all cells)\n", std::exp(geo / n));
+                "(paper: SplitQuant wins in all cells)\n", geo.value());
+    report.meta("geo_gain", geo.value());
   }
-  return 0;
+  return report.write() ? 0 : 1;
 }

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include "core_test_util.h"
+#include "sim/plan_io.h"
+#include "workload/datasets.h"
+#include "workload/profile.h"
 
 namespace sq::core {
 namespace {
@@ -148,6 +151,36 @@ TEST(Planner, UniformOomsWhereSplitQuantSurvives) {
     EXPECT_LE(r.predicted_latency_s / static_cast<double>(r.planned_batch),
               uni.predicted_latency_s / static_cast<double>(uni.planned_batch) * 1.05);
   }
+}
+
+TEST(Planner, DominanceCheckAdoptsFasterAdabitsPlan) {
+  // Fig. 12 cell 8 (OPT-30B on cluster 8, custom backend): SplitQuant is
+  // held to AdaBits' quality and theta is neutralized.  The profiling run
+  // scores AdaBits' plan 4.6% faster per request than SplitQuant's own
+  // validated pick, well clear of the dominance check's 1e-9 tolerance,
+  // so plan() must return AdaBits' plan relabelled "splitquant".
+  const auto model = sq::model::spec(sq::model::ModelId::kOpt30B);
+  const auto reqs =
+      sq::workload::sample(sq::workload::Dataset::kCnnDailyMail, 128, 49);
+  Harness h(sq::model::ModelId::kOpt30B, 8,
+            sq::workload::make_profile(reqs, 128, 2048).planning_batch(model));
+  const Planner planner(h.model, h.cluster, h.inputs.workload, h.latency, h.quality);
+  PlannerConfig cfg = fast_cfg();
+  cfg.max_topologies = 8;
+  cfg.custom_backend = true;
+  const PlanResult ada = planner.plan_adabits(cfg);
+  ASSERT_TRUE(ada.feasible) << ada.failure;
+  PlannerConfig scfg = cfg;
+  scfg.theta = 0.0;
+  scfg.max_ppl_delta = ada.total_omega;
+  const PlanResult r = planner.plan(scfg);
+  ASSERT_TRUE(r.feasible) << r.failure;
+  EXPECT_EQ(r.plan.scheme, "splitquant");
+  EXPECT_EQ(r.plan.layer_bits, ada.plan.layer_bits);
+  EXPECT_EQ(r.planned_batch, ada.planned_batch);
+  sq::sim::ExecutionPlan relabelled = ada.plan;
+  relabelled.scheme = "splitquant";
+  EXPECT_EQ(sq::sim::plan_to_string(r.plan), sq::sim::plan_to_string(relabelled));
 }
 
 TEST(Planner, ProfileAllCoversClusterTypes) {
