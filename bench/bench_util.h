@@ -15,6 +15,7 @@
 #include <variant>
 #include <vector>
 
+#include "common/spec_util.h"
 #include "core/planner.h"
 #include "hw/paper_clusters.h"
 #include "model/registry.h"
@@ -69,13 +70,11 @@ struct Cell {
   }
 };
 
-/// Planner worker threads for the benches: SQ_THREADS env var if set,
-/// otherwise 0 (hardware concurrency).  The chosen plans are identical for
-/// every thread count, so this only moves wall-clock time.
-inline int bench_threads() {
-  const char* env = std::getenv("SQ_THREADS");
-  return env != nullptr ? std::atoi(env) : 0;
-}
+/// Planner worker threads for the benches: SQ_THREADS env var if set
+/// (a bad value exits 2), otherwise 0 (hardware concurrency).  The chosen
+/// plans are identical for every thread count, so this only moves
+/// wall-clock time.
+inline int bench_threads() { return sq::common::env_threads(); }
 
 /// CI smoke mode: SQ_BENCH_SMOKE=1 shrinks each bench (fewer cases, fewer
 /// requests) while keeping the output schema identical, so the bench-smoke

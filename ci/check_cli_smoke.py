@@ -212,6 +212,23 @@ def main() -> int:
             cli, [*BASE, "--serve", "--continuous", "--migration", "teleport"],
             "bad --migration")
 
+        # 8b. "random:<seed>[:<n>]" specs parse strictly too: junk, a zero
+        # or out-of-range count exit 2; a bare seed and seed:count run.
+        for value in ("random:1:abc", "random:x", "random:1:0",
+                      "random:1:99999999999"):
+            errors += run_rejects(cli, [*BASE, "--serve", "--faults", value],
+                                  f"bad --faults {value}")
+        errors += run_rejects(
+            cli, [*BASE, "--serve", "--continuous", "--elastic",
+                  "random:1:abc"], "bad --elastic random:1:abc")
+        for value in ("random:7", "random:7:3"):
+            if run(cli, [*BASE, "--serve", "--faults", value], 0,
+                   f"--faults {value}") is None:
+                errors += 1
+        if run(cli, [*BASE, "--serve", "--continuous", "--elastic",
+                     "random:7:3"], 0, "--elastic random:7:3") is None:
+            errors += 1
+
         # 9. Numeric flags are parsed strictly: junk, signs, non-finite and
         # out-of-range values exit 2 with a one-line diagnostic.
         for flag, value, extra in (

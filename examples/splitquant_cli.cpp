@@ -12,6 +12,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -72,7 +73,8 @@ constexpr const char* kUsage = R"(usage: splitquant_cli [flags]
                         fail:<dev>@<t>+<d>     transient failure (retried)
                         slow:<dev>@<t>[+<d>]x<f>   straggler, f > 1
                         link:<dev>@<t>[+<d>]x<f>   link degradation
-                      "random:<seed>:<n>" draws <n> seeded events instead.
+                      "random:<seed>[:<n>]" draws <n> (1..10000,
+                      default 4) seeded events instead.
   --no-repair         with --faults: disable plan repair (baseline; a
                       permanent failure loses the remaining workload)
   --elastic <spec>    serve under a dynamic membership timeline (requires
@@ -86,7 +88,8 @@ constexpr const char* kUsage = R"(usage: splitquant_cli [flags]
                         leave:node<k>@<t>     node k leaves gracefully
                         leave:<dev>@<t>       one device leaves
                         price:<type>=<p>@<t>  $/device-hour repriced
-                      "random:<seed>:<n>" draws <n> seeded events instead.
+                      "random:<seed>[:<n>]" draws <n> (1..10000,
+                      default 4) seeded events instead.
                       Composes with --faults (failures restart in-flight
                       work; graceful leaves migrate it).
   --migration <p>     in-flight policy at an elastic plan switch:
@@ -171,7 +174,8 @@ bool parse(int argc, char** argv, Args* out) {
     else if (a == "--batch")
       number("--batch", std::uint64_t{1}, std::uint64_t{65536}, &out->batch);
     else if (a == "--requests") number("--requests", 1, 10'000'000, &out->requests);
-    else if (a == "--threads") number("--threads", 0, 256, &out->threads);
+    else if (a == "--threads")
+      number("--threads", 0, sq::common::kMaxThreads, &out->threads);
     else if (a == "--custom-backend") out->custom_backend = true;
     else if (a == "--heuristic") out->heuristic = true;
     else if (a == "--serve") out->serve = true;
@@ -201,18 +205,34 @@ sq::workload::Dataset dataset_of(const std::string& name) {
   return sq::workload::Dataset::kCnnDailyMail;
 }
 
+/// Parse a "random:<seed>[:<n>]" spec of `flag` strictly: the seed is a
+/// plain integer and <n> (seeded events, default left in *n) lies in
+/// [1, 10000].  Returns 0, or 2 with a one-line diagnostic on stderr.
+int parse_random_spec(const std::string& flag, const std::string& spec,
+                      std::uint64_t* seed, int* n) {
+  const std::string body = spec.substr(std::strlen("random:"));
+  const std::size_t colon = body.find(':');
+  std::string err = sq::common::parse_flag_number(
+      flag + " random seed", body.substr(0, colon), std::uint64_t{0},
+      static_cast<std::uint64_t>(std::numeric_limits<long long>::max()), seed);
+  if (err.empty() && colon != std::string::npos) {
+    err = sq::common::parse_flag_number(flag + " random count",
+                                        body.substr(colon + 1), 1, 10000, n);
+  }
+  if (err.empty()) return 0;
+  std::fprintf(stderr, "%s\n", err.c_str());
+  return 2;
+}
+
 /// Parse --faults into a schedule (0 = ok, 2 = bad spec, diagnostics on
 /// stderr).  Shared by the single-pipeline and fleet serving paths.
 int parse_faults(const std::string& spec, int device_count,
                  sq::sim::FaultSchedule* out) {
   if (spec.rfind("random:", 0) == 0) {
-    unsigned long seed = 0, n = 4;
-    if (std::sscanf(spec.c_str(), "random:%lu:%lu", &seed, &n) < 1) {
-      std::fprintf(stderr, "bad --faults random spec (want random:<seed>:<n>)\n");
-      return 2;
-    }
-    *out = sq::sim::random_fault_schedule(seed, device_count, 60.0,
-                                          static_cast<int>(n));
+    std::uint64_t seed = 0;
+    int n = 4;
+    if (const int rc = parse_random_spec("--faults", spec, &seed, &n)) return rc;
+    *out = sq::sim::random_fault_schedule(seed, device_count, 60.0, n);
     return 0;
   }
   const sq::sim::FaultParse fp = sq::sim::parse_fault_spec(spec);
@@ -228,13 +248,10 @@ int parse_faults(const std::string& spec, int device_count,
 int parse_elastic(const std::string& spec,
                   sq::elastic::MembershipTimeline* out) {
   if (spec.rfind("random:", 0) == 0) {
-    unsigned long seed = 0, n = 4;
-    if (std::sscanf(spec.c_str(), "random:%lu:%lu", &seed, &n) < 1) {
-      std::fprintf(stderr,
-                   "bad --elastic random spec (want random:<seed>:<n>)\n");
-      return 2;
-    }
-    *out = sq::elastic::random_membership(seed, 120.0, static_cast<int>(n));
+    std::uint64_t seed = 0;
+    int n = 4;
+    if (const int rc = parse_random_spec("--elastic", spec, &seed, &n)) return rc;
+    *out = sq::elastic::random_membership(seed, 120.0, n);
     return 0;
   }
   const sq::elastic::MembershipParse mp =

@@ -1,5 +1,6 @@
 // Shared tokenization for the comma-separated CLI spec grammars
-// (--faults, --jobs, --elastic, ...) and the strict numeric flag parse.
+// (--faults, --jobs, --elastic, ...), the strict numeric flag parse and
+// the SQ_THREADS environment reader built on it.
 //
 // Every spec parser used to hand-roll its own splitting, and the details
 // drifted: parse_fault_spec (getline-based) skipped empty segments but
@@ -20,6 +21,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -122,6 +124,30 @@ std::string parse_flag_number(const std::string& flag, const std::string& s, T l
   if (!ok) return "bad " + flag + " '" + s + "' (want " + range + ")";
   *out = v;
   return "";
+}
+
+/// Upper bound of every thread-count knob (--threads, SQ_THREADS).
+inline constexpr int kMaxThreads = 256;
+
+/// Strict SQ_THREADS value, same rules as --threads: an integer in
+/// [0, kMaxThreads].  Returns "" and sets *out, or a one-line diagnostic.
+inline std::string parse_threads_env(const std::string& value, int* out) {
+  return parse_flag_number("SQ_THREADS", value, 0, kMaxThreads, out);
+}
+
+/// Thread count from the SQ_THREADS environment variable: 0 (hardware
+/// concurrency) when unset.  A malformed or out-of-range value prints one
+/// line and exits 2, before any caller sizes a pool from it.
+inline int env_threads() {
+  const char* env = std::getenv("SQ_THREADS");
+  if (env == nullptr) return 0;
+  int n = 0;
+  const std::string err = parse_threads_env(env, &n);
+  if (!err.empty()) {
+    std::fprintf(stderr, "%s\n", err.c_str());
+    std::exit(2);
+  }
+  return n;
 }
 
 }  // namespace sq::common

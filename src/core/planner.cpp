@@ -28,7 +28,7 @@ std::unique_ptr<sq::common::ThreadPool> make_pool(int num_threads) {
 }
 
 /// Per-task winner of a baseline sweep, reduced across tasks in
-/// enumeration order so ties resolve exactly as the sequential loops did.
+/// enumeration order.
 struct SweepBest {
   double obj = std::numeric_limits<double>::infinity();
   std::size_t input = 0;
@@ -482,14 +482,16 @@ PlanResult Planner::plan(const PlannerConfig& cfg) const {
   r.ilp_solves = result.ilp_solves;
   r.ilp_nodes = result.ilp_nodes;
 
-  // Dominance check: the Uniform and Het configurations are points of
-  // SplitQuant's own search space; if cost-model error ranked them below
-  // the chosen plan but the profiling run says otherwise, adopt them.
+  // Dominance check: the Uniform, Het and AdaBits configurations are points
+  // of SplitQuant's own search space; if cost-model error ranked them below
+  // the chosen plan but the profiling run says otherwise, adopt them.  The
+  // baseline sweeps share this call's pool.
   if (cfg.validate_top_k > 1) {
     double chosen = validation_score(r.plan, r.planned_batch, cfg.theta,
                                      r.total_omega);
-    for (const PlanResult& alt :
-         {plan_uniform(cfg), plan_het(cfg), plan_adabits(cfg)}) {
+    for (const Baseline kind :
+         {Baseline::kUniform, Baseline::kHet, Baseline::kAdabits}) {
+      const PlanResult alt = plan_baseline(cfg, kind, pool.get());
       if (!alt.feasible) continue;
       if (cfg.max_ppl_delta >= 0.0 &&
           alt.total_omega > cfg.max_ppl_delta * (1.0 + 1e-9)) {
@@ -553,165 +555,87 @@ double Planner::validation_score(const sq::sim::ExecutionPlan& plan,
 }
 
 PlanResult Planner::plan_uniform(const PlannerConfig& cfg) const {
-  const auto t0 = Clock::now();
-  PlanResult result;
-  result.failure = "OOM: model does not fit at any uniform precision";
-
-  PlannerConfig base = cfg;
-  base.theta = 0.0;           // Baselines do not trade quality for speed.
-  base.max_ppl_delta = -1.0;  // ... nor are they quality-constrained.
-  const auto batches = batch_candidates(base);
-  std::vector<PlanInputs> inputs;
-  for (const auto b : batches) inputs.push_back(make_inputs(base, b));
-  const auto topologies = natural_topologies(cluster_, cfg.allow_tp);
-
-  const auto order = widest_first_order(inputs.front().bits);
-
-  // One task per (batch candidate, topology); the bit / micro-batch loops
-  // inside each task keep the sequential enumeration order, and the
-  // cross-task reduction walks tasks in that same order.
-  const std::size_t n_tasks = inputs.size() * topologies.size();
-  if (sq::obs::enabled()) sq::obs::counter("planner.baseline.tasks").add(n_tasks);
-  std::vector<std::optional<SweepBest>> task_best(n_tasks);
-  const auto pool = make_pool(cfg.num_threads);
-  sq::common::parallel_for(pool.get(), n_tasks, [&](std::size_t task) {
-    const std::size_t ii = task / topologies.size();
-    const std::size_t ti = task % topologies.size();
-    const auto& in = inputs[ii];
-    const std::uint64_t batch = in.workload.batch_size;
-    const auto etas = microbatch_candidates(std::min<std::uint64_t>(batch, 64));
-    const auto xis = microbatch_candidates(batch);
-    std::optional<SweepBest> local;
-    for (const int bi : order) {
-      bool fits_somewhere = false;
-      for (const auto eta : etas) {
-        for (const auto xi : xis) {
-          const PlanContext ctx(in, topologies[ti], eta, xi, cfg.group_size);
-          HeuristicPlan hp;
-          hp.group_stage = even_partition(ctx);
-          hp.group_bit.assign(static_cast<std::size_t>(ctx.num_groups()), bi);
-          hp.eval = ctx.evaluate(hp.group_stage, hp.group_bit);
-          if (!hp.eval.feasible) continue;
-          fits_somewhere = true;
-          const double obj = hp.eval.objective / static_cast<double>(batch);
-          if (!local || obj < local->obj) {
-            local = SweepBest{obj, ii, ti, eta, xi, std::move(hp)};
-          }
-        }
-      }
-      // The paper's Uniform lowers precision only until the model fits.
-      if (fits_somewhere) break;
-    }
-    task_best[task] = std::move(local);
-  });
-  std::optional<SweepBest> best;
-  for (auto& tb : task_best) {
-    if (tb && (!best || tb->obj < best->obj)) best = std::move(*tb);
-  }
-  if (best) {
-    const PlanContext ctx(inputs[best->input], topologies[best->topo], best->eta,
-                          best->xi, cfg.group_size);
-    result = finalize(ctx, best->hp, "uniform", seconds_since(t0));
-  }
-  result.solve_seconds = seconds_since(t0);
-  return result;
+  return plan_baseline(cfg, Baseline::kUniform, make_pool(cfg.num_threads).get());
 }
 
 PlanResult Planner::plan_het(const PlannerConfig& cfg) const {
-  const auto t0 = Clock::now();
-  PlanResult result;
-  result.failure = "OOM: model does not fit at any uniform precision";
-
-  PlannerConfig base = cfg;
-  base.theta = 0.0;
-  base.max_ppl_delta = -1.0;
-  const auto batches = batch_candidates(base);
-  std::vector<PlanInputs> inputs;
-  for (const auto b : batches) inputs.push_back(make_inputs(base, b));
-  const auto topologies =
-      enumerate_topologies(cluster_, cfg.allow_tp, cfg.max_topologies);
-
-  const auto order = widest_first_order(inputs.front().bits);
-
-  const std::size_t n_tasks = inputs.size() * topologies.size();
-  if (sq::obs::enabled()) sq::obs::counter("planner.baseline.tasks").add(n_tasks);
-  std::vector<std::optional<SweepBest>> task_best(n_tasks);
-  const auto pool = make_pool(cfg.num_threads);
-  sq::common::parallel_for(pool.get(), n_tasks, [&](std::size_t task) {
-    const std::size_t ii = task / topologies.size();
-    const std::size_t ti = task % topologies.size();
-    const auto& in = inputs[ii];
-    const std::uint64_t batch = in.workload.batch_size;
-    const auto etas = microbatch_candidates(std::min<std::uint64_t>(batch, 64));
-    const auto xis = microbatch_candidates(batch);
-    std::optional<SweepBest> local;
-    for (const int bi : order) {
-      bool fits_somewhere = false;
-      for (const auto eta : etas) {
-        for (const auto xi : xis) {
-          const PlanContext ctx(in, topologies[ti], eta, xi, cfg.group_size);
-          HeuristicPlan hp;
-          hp.group_stage =
-              balanced_partition(ctx, bi, PartitionMetric::kPrefillOnly);
-          if (hp.group_stage.empty()) continue;
-          hp.group_bit.assign(static_cast<std::size_t>(ctx.num_groups()), bi);
-          hp.eval = ctx.evaluate(hp.group_stage, hp.group_bit);
-          if (!hp.eval.feasible) continue;
-          fits_somewhere = true;
-          const double obj = hp.eval.objective / static_cast<double>(batch);
-          if (!local || obj < local->obj) {
-            local = SweepBest{obj, ii, ti, eta, xi, std::move(hp)};
-          }
-        }
-      }
-      if (fits_somewhere) break;
-    }
-    task_best[task] = std::move(local);
-  });
-  std::optional<SweepBest> best;
-  for (auto& tb : task_best) {
-    if (tb && (!best || tb->obj < best->obj)) best = std::move(*tb);
-  }
-  if (best) {
-    const PlanContext ctx(inputs[best->input], topologies[best->topo], best->eta,
-                          best->xi, cfg.group_size);
-    result = finalize(ctx, best->hp, "het", seconds_since(t0));
-  }
-  result.solve_seconds = seconds_since(t0);
-  return result;
+  return plan_baseline(cfg, Baseline::kHet, make_pool(cfg.num_threads).get());
 }
 
 PlanResult Planner::plan_adabits(const PlannerConfig& cfg) const {
+  return plan_baseline(cfg, Baseline::kAdabits, make_pool(cfg.num_threads).get());
+}
+
+PlanResult Planner::plan_baseline(const PlannerConfig& cfg, Baseline kind,
+                                  sq::common::ThreadPool* pool) const {
   const auto t0 = Clock::now();
   PlanResult result;
-  result.failure = "OOM: adabits found no feasible assignment";
+  result.failure = kind == Baseline::kAdabits
+                       ? "OOM: adabits found no feasible assignment"
+                       : "OOM: model does not fit at any uniform precision";
 
-  const auto batches = batch_candidates(cfg);
+  // Uniform and Het neither trade quality for speed nor are they
+  // quality-constrained; AdaBits plans under the caller's objective.
+  PlannerConfig base = cfg;
+  if (kind != Baseline::kAdabits) {
+    base.theta = 0.0;
+    base.max_ppl_delta = -1.0;
+  }
   std::vector<PlanInputs> inputs;
-  for (const auto b : batches) inputs.push_back(make_inputs(cfg, b));
+  for (const auto b : batch_candidates(base)) inputs.push_back(make_inputs(base, b));
   const auto topologies =
-      enumerate_topologies(cluster_, cfg.allow_tp, cfg.max_topologies);
+      kind == Baseline::kUniform
+          ? natural_topologies(cluster_, cfg.allow_tp)
+          : enumerate_topologies(cluster_, cfg.allow_tp, cfg.max_topologies);
 
+  // Per-cell scorer at ordered rungs.  Uniform and Het lower one uniform
+  // precision widest-first over their partition; AdaBits has one rung.
+  const auto order = widest_first_order(inputs.front().bits);
+  const std::size_t n_rungs = kind == Baseline::kAdabits ? 1 : order.size();
+  auto score = [&](const PlanContext& ctx,
+                   std::size_t rung) -> std::optional<HeuristicPlan> {
+    if (kind == Baseline::kAdabits) return adabits_plan(ctx);
+    const int bi = order[rung];
+    HeuristicPlan hp;
+    hp.group_stage = kind == Baseline::kUniform
+                         ? even_partition(ctx)
+                         : balanced_partition(ctx, bi, PartitionMetric::kPrefillOnly);
+    if (hp.group_stage.empty()) return std::nullopt;
+    hp.group_bit.assign(static_cast<std::size_t>(ctx.num_groups()), bi);
+    hp.eval = ctx.evaluate(hp.group_stage, hp.group_bit);
+    if (!hp.eval.feasible) return std::nullopt;
+    return hp;
+  };
+
+  // One task per (batch candidate, topology).  A task keeps the first rung
+  // any of its (eta, xi) cells can serve (the paper's Uniform lowers
+  // precision only until the model fits) and, within that rung, the first
+  // strict per-request minimum.  Each cell's PlanContext is built once and
+  // scored only up to the task's best rung so far.  Tasks reduce in
+  // enumeration order, so ties resolve exactly as a sequential loop would.
   const std::size_t n_tasks = inputs.size() * topologies.size();
   if (sq::obs::enabled()) sq::obs::counter("planner.baseline.tasks").add(n_tasks);
   std::vector<std::optional<SweepBest>> task_best(n_tasks);
-  const auto pool = make_pool(cfg.num_threads);
-  sq::common::parallel_for(pool.get(), n_tasks, [&](std::size_t task) {
+  sq::common::parallel_for(pool, n_tasks, [&](std::size_t task) {
     const std::size_t ii = task / topologies.size();
     const std::size_t ti = task % topologies.size();
-    const auto& in = inputs[ii];
-    const std::uint64_t batch = in.workload.batch_size;
+    const std::uint64_t batch = inputs[ii].workload.batch_size;
     const auto etas = microbatch_candidates(std::min<std::uint64_t>(batch, 64));
     const auto xis = microbatch_candidates(batch);
     std::optional<SweepBest> local;
+    std::size_t best_rung = n_rungs;
     for (const auto eta : etas) {
       for (const auto xi : xis) {
-        const PlanContext ctx(in, topologies[ti], eta, xi, cfg.group_size);
-        const auto a = adabits_plan(ctx);
-        if (!a) continue;
-        const double obj = a->eval.objective / static_cast<double>(batch);
-        if (!local || obj < local->obj) {
-          local = SweepBest{obj, ii, ti, eta, xi, *a};
+        const PlanContext ctx(inputs[ii], topologies[ti], eta, xi, cfg.group_size);
+        for (std::size_t rung = 0; rung < n_rungs && rung <= best_rung; ++rung) {
+          auto hp = score(ctx, rung);
+          if (!hp) continue;
+          const double obj = hp->eval.objective / static_cast<double>(batch);
+          if (rung < best_rung || obj < local->obj) {
+            local = SweepBest{obj, ii, ti, eta, xi, std::move(*hp)};
+            best_rung = rung;
+          }
+          break;
         }
       }
     }
@@ -722,9 +646,11 @@ PlanResult Planner::plan_adabits(const PlannerConfig& cfg) const {
     if (tb && (!best || tb->obj < best->obj)) best = std::move(*tb);
   }
   if (best) {
+    static constexpr const char* kScheme[] = {"uniform", "het", "adabits"};
     const PlanContext ctx(inputs[best->input], topologies[best->topo], best->eta,
                           best->xi, cfg.group_size);
-    result = finalize(ctx, best->hp, "adabits", seconds_since(t0));
+    result = finalize(ctx, best->hp, kScheme[static_cast<int>(kind)],
+                      seconds_since(t0));
   }
   result.solve_seconds = seconds_since(t0);
   return result;

@@ -18,6 +18,10 @@
 #include "quality/quality_model.h"
 #include "sim/plan.h"
 
+namespace sq::common {
+class ThreadPool;
+}  // namespace sq::common
+
 namespace sq::core {
 
 /// Which layer-sensitivity indicator drives bitwidth selection (Table V).
@@ -122,6 +126,12 @@ class Planner {
   std::vector<std::uint64_t> batch_candidates(const PlannerConfig& cfg) const;
   PlanResult finalize(const PlanContext& ctx, const HeuristicPlan& hp,
                       const std::string& scheme, double solve_s) const;
+  /// The baselines, as points of SplitQuant's own search space.
+  enum class Baseline { kUniform, kHet, kAdabits };
+  /// One (batch x topology x eta x xi) sweep serves every baseline; `pool`
+  /// may be null (inline).  Byte-identical for every thread count.
+  PlanResult plan_baseline(const PlannerConfig& cfg, Baseline kind,
+                           sq::common::ThreadPool* pool) const;
   /// Profiling-run score of a plan on calibration shapes: measured
   /// per-request latency plus the theta-weighted quality penalty (lower is
   /// better); infinity on OOM.

@@ -16,11 +16,11 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
-#include <cstdlib>
 #include <memory>
 #include <mutex>
 #include <vector>
 
+#include "common/spec_util.h"
 #include "common/thread_pool.h"
 #include "obs/metrics.h"
 
@@ -221,17 +221,12 @@ KernelThreads& kernel_threads_state() {
   return state;
 }
 
-int env_threads() {
-  const char* env = std::getenv("SQ_THREADS");
-  return env != nullptr ? std::atoi(env) : 0;
-}
-
 /// Resolve the configured thread count and (re)build the shared pool.
 /// Returns nullptr for single-threaded execution.
 ThreadPool* kernel_pool() {
   KernelThreads& st = kernel_threads_state();
   const std::lock_guard<std::mutex> lk(st.mu);
-  if (st.requested < 0) st.requested = env_threads();
+  if (st.requested < 0) st.requested = sq::common::env_threads();
   const int n = sq::common::resolve_threads(st.requested);
   if (n <= 1) {
     st.resolved = 1;
@@ -382,7 +377,7 @@ const char* kernel_isa() { return config().name; }
 int kernel_threads() {
   KernelThreads& st = kernel_threads_state();
   const std::lock_guard<std::mutex> lk(st.mu);
-  if (st.requested < 0) st.requested = env_threads();
+  if (st.requested < 0) st.requested = sq::common::env_threads();
   return sq::common::resolve_threads(st.requested);
 }
 

@@ -46,7 +46,8 @@ struct GemmBlocking {
 const char* kernel_isa();
 
 /// Worker threads the kernels use: the last set_kernel_threads() value,
-/// else the SQ_THREADS environment variable, else hardware concurrency.
+/// else the SQ_THREADS environment variable (sq::common::env_threads; a
+/// malformed or out-of-range value exits 2), else hardware concurrency.
 /// Thread count is a pure wall-clock knob (contract point 2).
 int kernel_threads();
 

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -380,6 +381,32 @@ TEST(SpecFuzz, NumericFlagsRejectKnownBadValues) {
         << "accepted: '" << s << "'";
     EXPECT_EQ(v, 7.0) << s;
   }
+}
+
+TEST(SpecFuzz, ThreadsEnvIsBoundedLikeTheThreadsFlag) {
+  // Parse only: an accepted value would size a thread pool.
+  for (const char* s : {"40000", "abc", "-1", "", "257", "4 "}) {
+    int v = 7;
+    const std::string err = sq::common::parse_threads_env(s, &v);
+    EXPECT_FALSE(err.empty()) << "accepted: '" << s << "'";
+    EXPECT_EQ(err.find('\n'), std::string::npos) << s;
+    EXPECT_NE(err.find("SQ_THREADS"), std::string::npos) << s;
+    EXPECT_EQ(v, 7) << "clobbered by: '" << s << "'";
+  }
+  int v = -1;
+  EXPECT_EQ(sq::common::parse_threads_env("0", &v), "");
+  EXPECT_EQ(v, 0);
+  EXPECT_EQ(sq::common::parse_threads_env("256", &v), "");
+  EXPECT_EQ(v, sq::common::kMaxThreads);
+}
+
+TEST(SpecFuzz, ThreadsEnvRejectsJunkWithExitTwo) {
+  EXPECT_EXIT(
+      {
+        setenv("SQ_THREADS", "abc", 1);
+        sq::common::env_threads();
+      },
+      ::testing::ExitedWithCode(2), "bad SQ_THREADS 'abc'");
 }
 
 TEST(SpecFuzz, NoiseNumericFlagsNeverThrowAndStayInRange) {
