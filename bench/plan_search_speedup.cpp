@@ -6,7 +6,8 @@
 // model so the comparison is fair; the chosen plans are asserted identical
 // across settings (the planner's deterministic-reduction guarantee).
 //
-//   SQ_SPEEDUP_THREADS="1 2 4"  override the thread settings swept
+//   SQ_SPEEDUP_THREADS="1 2 4"  override the thread settings swept (each
+//                               in [1, 256]; anything else exits 2)
 //   SQ_BENCH_SMOKE=1            fixed {1, 2} settings for the CI gate
 //   SQ_BENCH_JSON_DIR=<dir>     emit BENCH_plan_search_speedup.json; the
 //                               plans fingerprint is gated (must never
@@ -37,11 +38,23 @@ const CaseDef kCases[] = {
     {3, sq::model::ModelId::kQwen25_14B},
 };
 
+/// SQ_SPEEDUP_THREADS: space-separated thread counts, each an integer in
+/// [1, kMaxThreads].  A bad item prints one line and exits 2 before any
+/// planning starts.
 std::vector<int> thread_settings() {
   if (const char* env = std::getenv("SQ_SPEEDUP_THREADS")) {
     std::vector<int> out;
     std::istringstream in(env);
-    for (int v; in >> v;) out.push_back(v);
+    for (std::string item; in >> item;) {
+      int v = 0;
+      const std::string err = sq::common::parse_flag_number(
+          "SQ_SPEEDUP_THREADS", item, 1, sq::common::kMaxThreads, &v);
+      if (!err.empty()) {
+        std::fprintf(stderr, "%s\n", err.c_str());
+        std::exit(2);
+      }
+      out.push_back(v);
+    }
     if (!out.empty()) return out;
   }
   if (sq::bench::bench_smoke()) return {1, 2};

@@ -645,13 +645,12 @@ int main(int argc, char** argv) {
       elastic::ElasticOptions eopts;
       eopts.timeline = &timeline;
       eopts.migration = migration;
-      eopts.replan = core::make_elastic_replanner(
-          m, latency, quality, profile.planning_batch(m), cfg);
+      eopts.replan = core::make_replanner(m, latency, quality,
+                                          profile.planning_batch(m), cfg);
       eopts.fleet.num_threads = args.threads;
       if (!schedule.empty()) eopts.fleet.faults = &schedule;
       if (!args.faults.empty() && !args.no_repair) {
-        eopts.fleet.replan = core::make_replanner(
-            m, latency, quality, profile.planning_batch(m), cfg);
+        eopts.fleet.replan = eopts.replan;
       }
 
       runtime::FleetJob job;

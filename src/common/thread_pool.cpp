@@ -1,7 +1,10 @@
 #include "common/thread_pool.h"
 
 #include <algorithm>
+#include <atomic>
 #include <exception>
+
+#include "common/spec_util.h"
 
 namespace sq::common {
 
@@ -17,13 +20,7 @@ thread_local bool t_on_pool_worker = false;
 
 bool on_pool_worker() { return t_on_pool_worker; }
 
-ThreadPool::ThreadPool(int n_threads) {
-  const int n = std::max(1, n_threads);
-  workers_.reserve(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
-  }
-}
+ThreadPool::ThreadPool(int n_threads) { grow(std::max(1, n_threads)); }
 
 ThreadPool::~ThreadPool() {
   {
@@ -32,6 +29,13 @@ ThreadPool::~ThreadPool() {
   }
   cv_.notify_all();
   for (auto& w : workers_) w.join();
+}
+
+void ThreadPool::grow(int n) {
+  const std::lock_guard<std::mutex> lk(mu_);
+  while (static_cast<int>(workers_.size()) < n) {
+    workers_.emplace_back([this] { worker_loop(); });
+  }
 }
 
 void ThreadPool::worker_loop() {
@@ -49,36 +53,45 @@ void ThreadPool::worker_loop() {
   }
 }
 
-void parallel_for(ThreadPool* pool, std::size_t n,
+void parallel_for(int threads, std::size_t n,
                   const std::function<void(std::size_t)>& fn) {
-  if (n == 0) return;
-  if (pool == nullptr || pool->size() <= 1 || n == 1) {
+  const std::size_t runners =
+      std::min({static_cast<std::size_t>(resolve_threads(threads)), n,
+                static_cast<std::size_t>(kMaxThreads)});
+  if (runners <= 1 || on_pool_worker()) {
     for (std::size_t i = 0; i < n; ++i) fn(i);
     return;
   }
-  // Static chunking bounds per-task overhead while keeping enough tasks in
-  // flight that uneven chunk costs still balance across workers.
-  const std::size_t n_chunks = std::min(
-      n, static_cast<std::size_t>(pool->size()) * 8);
-  const std::size_t chunk = (n + n_chunks - 1) / n_chunks;
+  // The process-wide executor.  Never destroyed: joining it from a static
+  // destructor would race callers that still fan out during exit.
+  static ThreadPool* const executor = new ThreadPool(static_cast<int>(runners));
+  executor->grow(static_cast<int>(runners));
+  // Static chunks bound per-claim overhead while keeping enough of them
+  // that uneven chunk costs still balance across the runners.
+  const std::size_t chunk = (n + runners * 8 - 1) / (runners * 8);
+  const std::size_t n_chunks = (n + chunk - 1) / chunk;
+  std::atomic<std::size_t> next{0};
+  std::vector<std::exception_ptr> errors(n_chunks);
   std::vector<std::future<void>> futs;
-  futs.reserve(n_chunks);
-  for (std::size_t begin = 0; begin < n; begin += chunk) {
-    const std::size_t end = std::min(n, begin + chunk);
-    futs.push_back(pool->submit([&fn, begin, end] {
-      for (std::size_t i = begin; i < end; ++i) fn(i);
+  futs.reserve(runners);
+  for (std::size_t r = 0; r < runners; ++r) {
+    futs.push_back(executor->submit([&] {
+      for (std::size_t c = next++; c < n_chunks; c = next++) {
+        const std::size_t end = std::min(n, (c + 1) * chunk);
+        try {
+          for (std::size_t i = c * chunk; i < end; ++i) fn(i);
+        } catch (...) {
+          errors[c] = std::current_exception();
+        }
+      }
     }));
   }
-  // Wait on every chunk; surface the lowest-indexed failure.
-  std::exception_ptr first_error;
-  for (auto& f : futs) {
-    try {
-      f.get();
-    } catch (...) {
-      if (!first_error) first_error = std::current_exception();
-    }
+  for (auto& f : futs) f.get();
+  // A chunk stops at its first failure, so the lowest failing chunk holds
+  // the lowest-indexed failure.
+  for (const auto& e : errors) {
+    if (e) std::rethrow_exception(e);
   }
-  if (first_error) std::rethrow_exception(first_error);
 }
 
 }  // namespace sq::common

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cmath>
 #include <limits>
-#include <memory>
 #include <optional>
 
 #include "common/thread_pool.h"
@@ -20,12 +19,6 @@ namespace sq::core {
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-/// Pool for the candidate fan-out; null means run inline (sequential).
-std::unique_ptr<sq::common::ThreadPool> make_pool(int num_threads) {
-  const int n = sq::common::resolve_threads(num_threads);
-  return n > 1 ? std::make_unique<sq::common::ThreadPool>(n) : nullptr;
-}
 
 /// Per-task winner of a baseline sweep, reduced across tasks in
 /// enumeration order.
@@ -281,8 +274,6 @@ PlanResult Planner::plan(const PlannerConfig& cfg) const {
   const auto topologies =
       enumerate_topologies(cluster_, cfg.allow_tp, cfg.max_topologies);
 
-  const auto pool = make_pool(cfg.num_threads);
-
   // Observability marks (counters and wall-time histograms only; every
   // aggregate is order-independent, so totals are identical across thread
   // counts, and nothing recorded here feeds back into the search).
@@ -331,7 +322,7 @@ PlanResult Planner::plan(const PlannerConfig& cfg) const {
     }
   }
   std::vector<std::optional<HeuristicPlan>> seeds(descs.size());
-  sq::common::parallel_for(pool.get(), descs.size(), [&](std::size_t i) {
+  sq::common::parallel_for(cfg.num_threads, descs.size(), [&](std::size_t i) {
     const Desc& d = descs[i];
     const PlanContext ctx(inputs[d.input], topologies[d.topo], d.eta, d.xi,
                           cfg.group_size);
@@ -372,7 +363,7 @@ PlanResult Planner::plan(const PlannerConfig& cfg) const {
   const int refine_k = std::min<int>(static_cast<int>(cands.size()),
                                      std::max(4, 2 * cfg.max_microbatch_pairs));
   sq::common::parallel_for(
-      pool.get(), static_cast<std::size_t>(refine_k), [&](std::size_t i) {
+      cfg.num_threads, static_cast<std::size_t>(refine_k), [&](std::size_t i) {
         auto& c = cands[i];
         const PlanContext ctx = ctx_of(c);
         auto a = adabits_plan(ctx);
@@ -405,7 +396,7 @@ PlanResult Planner::plan(const PlannerConfig& cfg) const {
         std::min<int>(static_cast<int>(cands.size()), cfg.max_microbatch_pairs);
     std::vector<IlpOutcome> outs(static_cast<std::size_t>(solve_k));
     sq::common::parallel_for(
-        pool.get(), static_cast<std::size_t>(solve_k), [&](std::size_t i) {
+        cfg.num_threads, static_cast<std::size_t>(solve_k), [&](std::size_t i) {
           const auto& c = cands[i];
           outs[i] = solve_ilp(ctx_of(c), c.seed, opts);
         });
@@ -447,7 +438,7 @@ PlanResult Planner::plan(const PlannerConfig& cfg) const {
         std::min<int>(static_cast<int>(cands.size()), cfg.validate_top_k);
     std::vector<double> scores(static_cast<std::size_t>(check_k));
     sq::common::parallel_for(
-        pool.get(), static_cast<std::size_t>(check_k), [&](std::size_t i) {
+        cfg.num_threads, static_cast<std::size_t>(check_k), [&](std::size_t i) {
           const auto& c = cands[i];
           const PlanContext ctx = ctx_of(c);
           const auto plan =
@@ -484,14 +475,13 @@ PlanResult Planner::plan(const PlannerConfig& cfg) const {
 
   // Dominance check: the Uniform, Het and AdaBits configurations are points
   // of SplitQuant's own search space; if cost-model error ranked them below
-  // the chosen plan but the profiling run says otherwise, adopt them.  The
-  // baseline sweeps share this call's pool.
+  // the chosen plan but the profiling run says otherwise, adopt them.
   if (cfg.validate_top_k > 1) {
     double chosen = validation_score(r.plan, r.planned_batch, cfg.theta,
                                      r.total_omega);
     for (const Baseline kind :
          {Baseline::kUniform, Baseline::kHet, Baseline::kAdabits}) {
-      const PlanResult alt = plan_baseline(cfg, kind, pool.get());
+      const PlanResult alt = plan_baseline(cfg, kind);
       if (!alt.feasible) continue;
       if (cfg.max_ppl_delta >= 0.0 &&
           alt.total_omega > cfg.max_ppl_delta * (1.0 + 1e-9)) {
@@ -555,19 +545,19 @@ double Planner::validation_score(const sq::sim::ExecutionPlan& plan,
 }
 
 PlanResult Planner::plan_uniform(const PlannerConfig& cfg) const {
-  return plan_baseline(cfg, Baseline::kUniform, make_pool(cfg.num_threads).get());
+  return plan_baseline(cfg, Baseline::kUniform);
 }
 
 PlanResult Planner::plan_het(const PlannerConfig& cfg) const {
-  return plan_baseline(cfg, Baseline::kHet, make_pool(cfg.num_threads).get());
+  return plan_baseline(cfg, Baseline::kHet);
 }
 
 PlanResult Planner::plan_adabits(const PlannerConfig& cfg) const {
-  return plan_baseline(cfg, Baseline::kAdabits, make_pool(cfg.num_threads).get());
+  return plan_baseline(cfg, Baseline::kAdabits);
 }
 
-PlanResult Planner::plan_baseline(const PlannerConfig& cfg, Baseline kind,
-                                  sq::common::ThreadPool* pool) const {
+PlanResult Planner::plan_baseline(const PlannerConfig& cfg,
+                                  Baseline kind) const {
   const auto t0 = Clock::now();
   PlanResult result;
   result.failure = kind == Baseline::kAdabits
@@ -616,7 +606,7 @@ PlanResult Planner::plan_baseline(const PlannerConfig& cfg, Baseline kind,
   const std::size_t n_tasks = inputs.size() * topologies.size();
   if (sq::obs::enabled()) sq::obs::counter("planner.baseline.tasks").add(n_tasks);
   std::vector<std::optional<SweepBest>> task_best(n_tasks);
-  sq::common::parallel_for(pool, n_tasks, [&](std::size_t task) {
+  sq::common::parallel_for(cfg.num_threads, n_tasks, [&](std::size_t task) {
     const std::size_t ii = task / topologies.size();
     const std::size_t ti = task % topologies.size();
     const std::uint64_t batch = inputs[ii].workload.batch_size;

@@ -18,10 +18,6 @@
 #include "quality/quality_model.h"
 #include "sim/plan.h"
 
-namespace sq::common {
-class ThreadPool;
-}  // namespace sq::common
-
 namespace sq::core {
 
 /// Which layer-sensitivity indicator drives bitwidth selection (Table V).
@@ -56,9 +52,10 @@ struct PlannerConfig {
   Bitwidth kv_bits = Bitwidth::kFp16;
   IndicatorKind indicator = IndicatorKind::kVariance;
   std::uint64_t seed = 17;
-  /// Worker threads for the candidate search (greedy scoring, refinement,
-  /// ILP solves, validation runs): 0 = hardware concurrency, 1 = run
-  /// inline on the calling thread.  Every thread count runs the same path
+  /// Thread budget for the candidate search (greedy scoring, refinement,
+  /// ILP solves, validation runs) on the process-wide executor
+  /// (sq::common::parallel_for): 0 = hardware concurrency, 1 = run inline
+  /// on the calling thread.  Every thread count runs the same path
   /// through the shared stage-time cache.  The chosen plan is identical
   /// bit-for-bit for every thread count — candidates carry a stable
   /// enumeration index and all reductions tie-break on it, never on
@@ -128,10 +125,9 @@ class Planner {
                       const std::string& scheme, double solve_s) const;
   /// The baselines, as points of SplitQuant's own search space.
   enum class Baseline { kUniform, kHet, kAdabits };
-  /// One (batch x topology x eta x xi) sweep serves every baseline; `pool`
-  /// may be null (inline).  Byte-identical for every thread count.
-  PlanResult plan_baseline(const PlannerConfig& cfg, Baseline kind,
-                           sq::common::ThreadPool* pool) const;
+  /// One (batch x topology x eta x xi) sweep serves every baseline.
+  /// Byte-identical for every thread count.
+  PlanResult plan_baseline(const PlannerConfig& cfg, Baseline kind) const;
   /// Profiling-run score of a plan on calibration shapes: measured
   /// per-request latency plus the theta-weighted quality penalty (lower is
   /// better); infinity on OOM.

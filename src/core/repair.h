@@ -1,5 +1,6 @@
-// Plan repair: the core-side Replanner factory OfflineEngine's recovery
-// loop invokes after a permanent device failure.
+// Plan repair: the core-side Replanner factory that OfflineEngine's
+// recovery loop invokes after a permanent device failure, and that the
+// elastic engine invokes on every membership change.
 //
 // Repair is just planning on the degraded cluster — the same assigner, the
 // same memoized cost-model fits and stage-time caches (devices that did
@@ -20,7 +21,6 @@
 
 #include "core/planner.h"
 #include "cost/latency_model.h"
-#include "elastic/elastic_engine.h"
 #include "model/llm.h"
 #include "quality/quality_model.h"
 #include "runtime/recovery.h"
@@ -28,10 +28,13 @@
 
 namespace sq::core {
 
-/// Build a Replanner over (model, workload, cfg).  `latency` and `quality`
-/// are captured by reference and must outlive the returned callback;
-/// `latency` is re-profiled on demand for the degraded cluster's types
-/// (idempotent, so repeat repairs cost nothing).  The callback is safe to
+/// Build a Replanner over (model, workload, cfg), for fault repair and
+/// elastic membership changes alike.  `latency` and `quality` are captured
+/// by reference and must outlive the returned callback; `latency` is
+/// re-profiled on demand for the changed cluster's types (idempotent, so
+/// repeat repairs cost nothing, and joins that bring NEW device types get
+/// fitted).  The outcome carries the planner's throughput estimate, the
+/// elastic autoscaler's accept/reject signal.  The callback is safe to
 /// invoke repeatedly and from a single thread at a time.
 sq::runtime::Replanner make_replanner(const sq::model::LlmSpec& model,
                                       sq::cost::LatencyCostModel& latency,
@@ -39,15 +42,14 @@ sq::runtime::Replanner make_replanner(const sq::model::LlmSpec& model,
                                       const sq::sim::BatchWorkload& workload,
                                       const PlannerConfig& cfg);
 
-/// Build an ElasticReplanner for membership changes: the same incremental
-/// planning + graceful-degradation ladder as make_replanner (memoized
-/// latency fits re-profile idempotently when joins introduce NEW device
-/// types), but it also surfaces the planner's throughput estimate — the
-/// autoscaler's accept/reject signal.  Lifetime contract matches
-/// make_replanner.
-sq::elastic::ElasticReplanner make_elastic_replanner(
+/// Old name of make_replanner, kept only because the benchmark program
+/// (perfbench/main.cpp), whose sources change only with the benchmark
+/// itself, still calls it.  New code calls make_replanner.
+inline sq::runtime::Replanner make_elastic_replanner(
     const sq::model::LlmSpec& model, sq::cost::LatencyCostModel& latency,
     const sq::quality::QualityModel& quality,
-    const sq::sim::BatchWorkload& workload, const PlannerConfig& cfg);
+    const sq::sim::BatchWorkload& workload, const PlannerConfig& cfg) {
+  return make_replanner(model, latency, quality, workload, cfg);
+}
 
 }  // namespace sq::core

@@ -17,6 +17,7 @@ namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
 using sq::runtime::log_time;
+using sq::runtime::ReplanOutcome;
 
 std::string fmt_pct(double frac) {
   char buf[64];
@@ -179,7 +180,7 @@ ElasticStats ElasticFleetEngine::serve(
   // Rungs of the graceful-degradation ladder (same escalation as fault
   // repair) over the elastic replanner; the last outcome lands in `*r` for
   // its failure text and throughput estimate.
-  const auto rungs = [&](ElasticReplanOutcome* r) -> sq::runtime::PlanAttempt {
+  const auto rungs = [&](ReplanOutcome* r) -> sq::runtime::PlanAttempt {
     return [&, r](const sq::hw::Cluster& c,
                   int attempt) -> std::optional<sq::sim::ExecutionPlan> {
       if (!opts.replan) {
@@ -200,7 +201,7 @@ ElasticStats ElasticFleetEngine::serve(
   // The shared plan-switch step shrinking `from` by the flat devices
   // `excl`; the replanner's throughput estimate rides along.
   const auto shrink = [&](const MemberState& from, const std::vector<int>& excl,
-                          ElasticReplanOutcome* r,
+                          ReplanOutcome* r,
                           const sq::runtime::WeightPrep* prep = nullptr) {
     sq::runtime::PlanSwitch sw = sq::runtime::switch_plan(
         from, excl, nullptr, rungs(r), opts.max_replan_attempts, 0, prep);
@@ -226,7 +227,7 @@ ElasticStats ElasticFleetEngine::serve(
         node.gpu_count = e.count;
         node.intra_gbps = 300.0;
         const sq::hw::Cluster grown = sq::hw::grow_cluster(p->next.cluster, node);
-        ElasticReplanOutcome r;
+        ReplanOutcome r;
         const bool planned =
             sq::runtime::climb_ladder(rungs(&r), grown, opts.max_replan_attempts)
                 .has_value();
@@ -292,7 +293,7 @@ ElasticStats ElasticFleetEngine::serve(
                                std::to_string(e.index));
           continue;
         }
-        ElasticReplanOutcome r;
+        ReplanOutcome r;
         sq::runtime::PlanSwitch sw = shrink(p->next, excl, &r);
         if (!sw.ok) {
           const bool no_plan = sw.failure.empty();
@@ -329,7 +330,7 @@ ElasticStats ElasticFleetEngine::serve(
             join_stack.pop_back();  // Already gone (left/failed); try next.
             continue;
           }
-          ElasticReplanOutcome r;
+          ReplanOutcome r;
           sq::runtime::PlanSwitch sw = shrink(p->next, excl, &r);
           if (!sw.ok) break;
           const double cur_tpd = tpd(p->next.cluster, p->next.predicted_tok_s);
@@ -504,7 +505,7 @@ ElasticStats ElasticFleetEngine::serve(
           lose_remaining("failed device unknown to the elastic group");
           break;
         }
-        ElasticReplanOutcome r;
+        ReplanOutcome r;
         sq::runtime::PlanSwitch sw = shrink(ms, {flat}, &r, prep_.get());
         if (!sw.ok) {
           fatal = sw.failure.empty() ? "no feasible repair plan: " + r.failure
@@ -562,7 +563,7 @@ ElasticStats ElasticFleetEngine::serve(
             // exclude the device from the pending cluster too.
             const int flat = flat_of_base(p.next.to_original, ds.fault_device);
             if (flat >= 0) {
-              ElasticReplanOutcome r;
+              ReplanOutcome r;
               sq::runtime::PlanSwitch sw = shrink(p.next, {flat}, &r);
               if (!sw.ok) {
                 fatal = sw.failure.empty() ? "no feasible repair plan: " + r.failure

@@ -36,7 +36,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -51,23 +50,10 @@
 
 namespace sq::elastic {
 
-/// Replan outcome for a membership change; unlike fault repair, elastic
-/// re-planning also needs the planner's throughput estimate (the
-/// autoscaler's accept/reject signal).
-struct ElasticReplanOutcome {
-  bool feasible = false;
-  std::string failure;
-  sq::sim::ExecutionPlan plan;     ///< Plan over the changed cluster.
-  double predicted_tok_s = 0.0;    ///< Planner throughput estimate.
-  double solve_seconds = 0.0;      ///< Real planner wall time (obs only).
-};
-
-/// Elastic replanner: plan for a changed (grown or shrunk) cluster.
-/// `attempt` escalates like the repair ladder (0 = full constraints,
-/// 1 = relaxed quality budget, 2+ = uniform fallback); see
-/// sq::core::make_elastic_replanner.
-using ElasticReplanner = std::function<ElasticReplanOutcome(
-    const sq::hw::Cluster& changed, int attempt)>;
+/// Old name of sq::runtime::ReplanOutcome, kept only because the
+/// benchmark program (perfbench/main.cpp), whose sources change only with
+/// the benchmark itself, still names it.  New code uses the runtime type.
+using ElasticReplanOutcome = sq::runtime::ReplanOutcome;
 
 /// What happens to in-flight requests when the plan switches.
 enum class MigrationPolicy {
@@ -106,7 +92,9 @@ struct AutoscalerOptions {
 /// Elastic serving knobs.
 struct ElasticOptions {
   const MembershipTimeline* timeline = nullptr;  ///< Null/empty = delegate.
-  ElasticReplanner replan;           ///< Required for membership changes.
+  /// Required for membership changes; its predicted_tok_s drives the
+  /// autoscaler (see sq::core::make_replanner).
+  sq::runtime::Replanner replan;
   MigrationPolicy migration = MigrationPolicy::kAuto;
   AutoscalerOptions autoscale;
   CostModel cost;                    ///< $/device-hour book.

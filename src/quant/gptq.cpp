@@ -107,14 +107,14 @@ void quantize_row_reference(std::span<const float> row, Bitwidth bits,
 /// skipped prefix is provably +0.0 in the reference (acc starts +0.0 and
 /// 0.0 - (+-0.0) = +0.0, y[i] = +0.0 / l_ii = +0.0 for i < col).
 std::vector<double> spd_inverse(const std::vector<double>& a, std::size_t n,
-                                sq::common::ThreadPool* pool) {
+                                int threads) {
   constexpr std::size_t kPanel = 64;
   // Below this order the O(n^3) trailing update and column solves take
   // less time than the parallel_for dispatches that would spread them
   // (with 160 input rows, a 4-thread GPTQ sweep fanning out here ran 2x
   // slower than the scalar reference), so small inverses run on the caller.
   constexpr std::size_t kFanOutMinN = 256;
-  if (n < kFanOutMinN) pool = nullptr;
+  if (n < kFanOutMinN) threads = 1;
   std::vector<double> l(a);  // working copy; strict upper zeroed below
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = i + 1; j < n; ++j) l[i * n + j] = 0.0;
@@ -136,7 +136,7 @@ std::vector<double> spd_inverse(const std::vector<double>& a, std::size_t n,
     }
     // Trailing update: fold this panel's columns into the not-yet-factored
     // lower triangle, rows independent.
-    sq::common::parallel_for(pool, n > c1 ? n - c1 : 0, [&](std::size_t t) {
+    sq::common::parallel_for(threads, n > c1 ? n - c1 : 0, [&](std::size_t t) {
       const std::size_t i = c1 + t;
       for (std::size_t j = c1; j <= i; ++j) {
         double acc = l[i * n + j];
@@ -154,7 +154,7 @@ std::vector<double> spd_inverse(const std::vector<double>& a, std::size_t n,
 
   // Column solves are independent; write column-major, transpose once.
   std::vector<double> inv_t(n * n, 0.0);
-  sq::common::parallel_for(pool, n, [&](std::size_t col) {
+  sq::common::parallel_for(threads, n, [&](std::size_t col) {
     static thread_local std::vector<double> y, x;
     y.assign(n, 0.0);  // y[i] = +0.0 for i < col, as the reference computes
     x.resize(n);
@@ -299,10 +299,10 @@ GptqResult gptq_quantize(const Tensor& weights, const Tensor& calibration,
     return rtn_quantize(weights, calibration, opts);
   }
 
-  sq::common::ThreadPool* pool = quant_pool();
+  const int threads = sq::tensor::kernel_threads();
 
   std::vector<double> h = damped_hessian(calibration, in, opts.damping);
-  std::vector<double> hinv = spd_inverse(h, in, pool);
+  std::vector<double> hinv = spd_inverse(h, in, threads);
 
   const std::size_t bsz = std::max<std::size_t>(opts.obq_block, 1);
   Tensor work = weights;  // copy; rows get error-fed updates
@@ -344,7 +344,7 @@ GptqResult gptq_quantize(const Tensor& weights, const Tensor& calibration,
     }
     // Delayed block-end pass over trailing rows, each row independent.
     const std::size_t nb = b1 - b0;
-    sq::common::parallel_for(pool, in > b1 ? in - b1 : 0, [&](std::size_t t) {
+    sq::common::parallel_for(threads, in > b1 ? in - b1 : 0, [&](std::size_t t) {
       const std::size_t j = b1 + t;
       // Reconstruct this row's pivot factors f_i = hinv[j][i] as of step i
       // by replaying the in-block Schur chain (ascending pivots, identical

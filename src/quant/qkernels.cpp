@@ -9,11 +9,6 @@
 #include <cassert>
 #include <cmath>
 #include <cstring>
-#include <memory>
-#include <mutex>
-
-#include "common/thread_pool.h"
-#include "tensor/gemm.h"
 
 #if defined(__x86_64__) && defined(__GNUC__)
 #define SQ_QK_MULTI_ISA 1
@@ -304,18 +299,6 @@ float inv_scale_of(const QuantParams& p) {
   return p.scale != 0.0f ? 1.0f / p.scale : 0.0f;
 }
 
-// ---- Quant-side thread pool ---------------------------------------------
-
-struct QuantThreads {
-  std::mutex mu;
-  std::unique_ptr<sq::common::ThreadPool> pool;
-};
-
-QuantThreads& quant_threads_state() {
-  static QuantThreads state;
-  return state;
-}
-
 }  // namespace
 
 const char* qkernel_isa() { return kernels().name; }
@@ -397,17 +380,6 @@ void quantize_dequant(std::span<const float> values, const QuantParams& params,
   assert(out.size() == values.size());
   kernels().qdq(values.data(), values.size(), params.zero, inv_scale_of(params),
                 params.scale, lo, hi, out.data());
-}
-
-sq::common::ThreadPool* quant_pool() {
-  const int n = sq::tensor::kernel_threads();
-  if (n <= 1 || sq::common::on_pool_worker()) return nullptr;
-  QuantThreads& st = quant_threads_state();
-  const std::lock_guard<std::mutex> lk(st.mu);
-  if (!st.pool || st.pool->size() != n) {
-    st.pool = std::make_unique<sq::common::ThreadPool>(n);
-  }
-  return st.pool.get();
 }
 
 }  // namespace sq::quant

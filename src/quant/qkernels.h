@@ -30,10 +30,6 @@
 
 #include "quant/quantizer.h"
 
-namespace sq::common {
-class ThreadPool;
-}
-
 namespace sq::quant {
 
 /// Name of the dispatched path ("avx512", "avx2" or "base").
@@ -81,12 +77,5 @@ void dequantize_codes(std::span<const std::int32_t> codes,
 /// followed by dequantize_reference.
 void quantize_dequant(std::span<const float> values, const QuantParams& params,
                       std::int32_t lo, std::int32_t hi, std::span<float> out);
-
-/// Shared quant-side worker pool, sized by the kernel-thread knob of the
-/// GEMM layer (SQ_THREADS / sq::tensor::set_kernel_threads, one knob for
-/// all kernels).  Returns nullptr when single-threaded execution is in
-/// effect or the caller is already a pool worker (nested parallel sections
-/// degrade to inline execution; results are identical either way).
-sq::common::ThreadPool* quant_pool();
 
 }  // namespace sq::quant

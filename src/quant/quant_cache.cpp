@@ -6,7 +6,7 @@
 
 #include "common/thread_pool.h"
 #include "obs/metrics.h"
-#include "quant/qkernels.h"
+#include "tensor/gemm.h"
 #include "tensor/rng.h"
 
 namespace sq::quant {
@@ -119,8 +119,7 @@ QuantModelStats QuantCache::quantize_model(std::span<const QuantJob> jobs) {
   QuantModelStats stats;
   stats.tensors.resize(jobs.size());
   std::atomic<std::size_t> quantized{0};
-  sq::common::ThreadPool* pool = quant_pool();
-  sq::common::parallel_for(pool, jobs.size(), [&](std::size_t i) {
+  sq::common::parallel_for(sq::tensor::kernel_threads(), jobs.size(), [&](std::size_t i) {
     const QuantJob& job = jobs[i];
     bool computed = false;
     stats.tensors[i] =

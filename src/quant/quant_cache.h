@@ -89,9 +89,9 @@ class QuantCache {
                                                  std::uint64_t seed = 0,
                                                  bool* computed = nullptr);
 
-  /// Quantize a whole model: fan the jobs out over the kernel thread pool
-  /// (qkernels quant_pool; SQ_THREADS-sized) and return the per-job
-  /// tensors plus hit/compute counts.  Degrades to an inline loop when
+  /// Quantize a whole model: fan the jobs out under the kernel thread
+  /// budget (sq::tensor::kernel_threads; SQ_THREADS) and return the
+  /// per-job tensors plus hit/compute counts.  Runs inline when
   /// single-threaded or already on a pool worker.
   QuantModelStats quantize_model(std::span<const QuantJob> jobs);
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <limits>
-#include <memory>
 #include <numeric>
 
 #include "common/spec_util.h"
@@ -175,13 +174,6 @@ FleetStats FleetEngine::serve(const std::vector<FleetJob>& jobs,
 
   // ---- Scheduling rounds: LPT assignment, parallel group execution,
   // re-assignment of jobs stranded on retired groups. -------------------
-  std::unique_ptr<sq::common::ThreadPool> pool;
-  const int n_threads = sq::common::resolve_threads(opts.num_threads);
-  if (n_threads > 1 && n_groups > 1 && !sq::common::on_pool_worker()) {
-    pool = std::make_unique<sq::common::ThreadPool>(
-        std::min<int>(n_threads, static_cast<int>(n_groups)));
-  }
-
   std::vector<std::size_t> pending(jobs.size());
   std::iota(pending.begin(), pending.end(), 0);
 
@@ -238,7 +230,7 @@ FleetStats FleetEngine::serve(const std::vector<FleetJob>& jobs,
     // Execute every group's queue; a group's jobs run in order, groups run
     // concurrently.  Each task only touches its own GroupState and its own
     // JobOutcome slots, so results never depend on worker interleaving.
-    sq::common::parallel_for(pool.get(), n_groups, [&](std::size_t g) {
+    sq::common::parallel_for(opts.num_threads, n_groups, [&](std::size_t g) {
       GroupState& st = state[g];
       for (const std::size_t j : queue[g]) {
         if (st.retired) break;  // Remaining queue re-assigned below.

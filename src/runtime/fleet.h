@@ -13,9 +13,9 @@
 //     the lowest group index.  A job is only placed on groups whose plan
 //     can hold at least one of its requests (weights + KV); a job no group
 //     can hold is rejected gracefully, never crashed on.
-//   * Execution fans the groups out over a work queue drained by
-//     `num_threads` scheduler workers; a group's own jobs always run in
-//     order (its fault timeline carries across jobs).  Results are
+//   * Execution fans the groups out over the process-wide executor under
+//     a `num_threads` budget; a group's own jobs always run in order (its
+//     fault timeline carries across jobs).  Results are
 //     bit-identical for every worker count: the assignment is computed
 //     before any serving starts, every outcome is written to its own slot,
 //     and all reductions run in (group, queue-position) order — threads
@@ -102,9 +102,9 @@ struct FleetOptions {
   /// Per-group plan repair (same callback contract as RecoveryOptions);
   /// null = no repair: a permanent failure retires the group.
   Replanner replan;
-  /// Scheduler worker threads draining the group queue: 0 = hardware
-  /// concurrency, 1 = sequential.  FleetStats are bit-identical across all
-  /// values.
+  /// Thread budget for serving the groups concurrently
+  /// (sq::common::parallel_for): 0 = hardware concurrency, 1 = sequential.
+  /// FleetStats are bit-identical across all values.
   int num_threads = 1;
   // Forwarded per-group recovery knobs (see RecoveryOptions).
   int max_retries = 3;

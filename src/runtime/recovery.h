@@ -46,20 +46,23 @@
 
 namespace sq::runtime {
 
-/// Result of one plan-repair attempt.
+/// Result of one re-planning attempt (fault repair or membership change).
 struct ReplanOutcome {
   bool feasible = false;
   std::string failure;             ///< Reason when infeasible.
-  sq::sim::ExecutionPlan plan;     ///< Plan over the DEGRADED cluster.
+  sq::sim::ExecutionPlan plan;     ///< Plan over the changed cluster.
+  /// Planner throughput estimate: the elastic autoscaler's accept/reject
+  /// signal (fault repair does not read it).
+  double predicted_tok_s = 0.0;
   double solve_seconds = 0.0;      ///< Real planner wall time (obs only).
 };
 
-/// Plan-repair callback: produce a plan for the degraded cluster.
-/// `attempt` escalates from 0 when the previous attempt was infeasible
-/// (0 = original constraints, 1 = relaxed quality budget, 2 = most robust
-/// fallback); see sq::core::make_replanner.
+/// Re-planning callback: produce a plan for a changed (degraded, grown or
+/// shrunk) cluster.  `attempt` escalates from 0 when the previous attempt
+/// was infeasible (0 = original constraints, 1 = relaxed quality budget,
+/// 2 = most robust fallback); see sq::core::make_replanner.
 using Replanner =
-    std::function<ReplanOutcome(const sq::hw::Cluster& degraded, int attempt)>;
+    std::function<ReplanOutcome(const sq::hw::Cluster& changed, int attempt)>;
 
 /// Recovery knobs.
 struct RecoveryOptions {

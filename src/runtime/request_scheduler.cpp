@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdio>
 #include <limits>
-#include <memory>
 #include <unordered_map>
 
 #include "common/memo_cache.h"
@@ -328,12 +327,6 @@ RequestStats RequestScheduler::serve(
                                          k.len, km, eff);
   };
 
-  const int nt = sq::common::resolve_threads(opts.num_threads);
-  std::unique_ptr<sq::common::ThreadPool> pool;
-  if (nt > 1 && !sq::common::on_pool_worker()) {
-    pool = std::make_unique<sq::common::ThreadPool>(nt);
-  }
-
   // ---- Fault machinery -------------------------------------------------
   const bool have_faults =
       opts.faults != nullptr && !opts.faults->events.empty();
@@ -499,7 +492,7 @@ RequestStats RequestScheduler::serve(
         miss_slot.push_back(g * n_stages + s);
       }
     }
-    sq::common::parallel_for(pool.get(), miss_key.size(), [&](std::size_t i) {
+    sq::common::parallel_for(opts.num_threads, miss_key.size(), [&](std::size_t i) {
       times[miss_slot[i]] = compute_time(miss_key[i]);
     });
     if (memoize_) {

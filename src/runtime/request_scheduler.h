@@ -155,9 +155,9 @@ void merge_segment(RequestStats& total, const RequestStats& seg,
 
 /// Continuous-serving knobs.
 struct ContinuousOptions {
-  /// Scheduler threads fanning out the per-(group, stage) time
-  /// computations: 0 = hardware concurrency, 1 = sequential.  RequestStats
-  /// are bit-identical across all values.
+  /// Thread budget for the per-(group, stage) time computations
+  /// (sq::common::parallel_for): 0 = hardware concurrency, 1 = sequential.
+  /// RequestStats are bit-identical across all values.
   int num_threads = 1;
   std::uint64_t chunk_tokens = 2048;  ///< Chunked-prefill unit.
   /// Extra cap on concurrently admitted requests; 0 = KV-limited only.

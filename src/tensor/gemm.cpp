@@ -2,7 +2,7 @@
 //
 // Structure (BLIS-style): the driver tiles C into NC-wide column blocks and
 // KC-deep panels, packs B panels once per (jc, pc) block, then fans MC-row
-// bands of A out over the thread pool.  Each band packs its own A panel and
+// bands of A out over the shared executor.  Each band packs its own A panel and
 // runs the micro-kernel over MR x NR register tiles.  Micro-kernels
 // accumulate *into C* so the per-element chain spans all KC blocks in
 // ascending k order — the same chain the naive kernels run, which is what
@@ -16,7 +16,6 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
-#include <memory>
 #include <mutex>
 #include <vector>
 
@@ -46,7 +45,6 @@ namespace sq::tensor {
 
 namespace {
 
-using sq::common::ThreadPool;
 
 // ---- Micro-kernels ------------------------------------------------------
 
@@ -207,34 +205,16 @@ const KernelConfig& config() {
   return cfg;
 }
 
-// ---- Kernel thread pool -------------------------------------------------
+// ---- Kernel thread budget -----------------------------------------------
 
 struct KernelThreads {
   std::mutex mu;
   int requested = -1;  ///< -1: not yet resolved (consult SQ_THREADS).
-  int resolved = 1;
-  std::unique_ptr<ThreadPool> pool;
 };
 
 KernelThreads& kernel_threads_state() {
   static KernelThreads state;
   return state;
-}
-
-/// Resolve the configured thread count and (re)build the shared pool.
-/// Returns nullptr for single-threaded execution.
-ThreadPool* kernel_pool() {
-  KernelThreads& st = kernel_threads_state();
-  const std::lock_guard<std::mutex> lk(st.mu);
-  if (st.requested < 0) st.requested = sq::common::env_threads();
-  const int n = sq::common::resolve_threads(st.requested);
-  if (n <= 1) {
-    st.resolved = 1;
-    return nullptr;
-  }
-  if (!st.pool || st.pool->size() != n) st.pool = std::make_unique<ThreadPool>(n);
-  st.resolved = n;
-  return st.pool.get();
 }
 
 // ---- Packing ------------------------------------------------------------
@@ -315,10 +295,8 @@ Tensor gemm_driver(const Tensor& a, std::size_t n, const BSource& src,
   const std::size_t kc_blk = std::max<std::size_t>(blk.kc, 1);
   const std::size_t nc_blk = std::max(blk.nc, nr);
 
-  ThreadPool* pool = kernel_pool();
-  // A kernel invoked from inside a pool task must not block on that same
-  // pool; degrade to inline execution (results are identical either way).
-  if (sq::common::on_pool_worker()) pool = nullptr;
+  // Nested in a pool task, parallel_for runs inline (identical results).
+  const int threads = kernel_threads();
 
   const std::size_t nc_cap = std::min(nc_blk, ((n + nr - 1) / nr) * nr);
   std::vector<float> bp(std::min(kc_blk, k) * nc_cap);
@@ -330,11 +308,11 @@ Tensor gemm_driver(const Tensor& a, std::size_t n, const BSource& src,
     const std::size_t npan = (nc + nr - 1) / nr;
     for (std::size_t pc = 0; pc < k; pc += kc_blk) {
       const std::size_t kc = std::min(kc_blk, k - pc);
-      sq::common::parallel_for(pool, npan, [&](std::size_t q) {
+      sq::common::parallel_for(threads, npan, [&](std::size_t q) {
         pack_b_panel(src, pc, kc, jc, nc, q, nr, bp.data() + q * kc * nr);
       });
       const std::size_t n_bands = (m + mc_blk - 1) / mc_blk;
-      sq::common::parallel_for(pool, n_bands, [&](std::size_t band) {
+      sq::common::parallel_for(threads, n_bands, [&](std::size_t band) {
         const std::size_t ic = band * mc_blk;
         const std::size_t mc = std::min(mc_blk, m - ic);
         static thread_local std::vector<float> apk;
@@ -385,7 +363,6 @@ void set_kernel_threads(int n) {
   KernelThreads& st = kernel_threads_state();
   const std::lock_guard<std::mutex> lk(st.mu);
   st.requested = n < 0 ? 0 : n;
-  st.pool.reset();  // rebuilt lazily at the next kernel invocation
 }
 
 Tensor matmul_small(const Tensor& a, const Tensor& b) {
@@ -430,12 +407,11 @@ Tensor transpose_blocked(const Tensor& a) {
   const std::size_t rows = a.rows(), cols = a.cols();
   const float* src = a.data().data();
   float* dst = t.data().data();
-  ThreadPool* pool = kernel_pool();
-  if (sq::common::on_pool_worker()) pool = nullptr;
+  const int threads = kernel_threads();
   const std::size_t n_bands = (cols + kTile - 1) / kTile;
   // Each task owns a disjoint band of output rows; tiles keep both the
   // source reads and destination writes cache-resident.
-  sq::common::parallel_for(pool, n_bands, [&](std::size_t band) {
+  sq::common::parallel_for(threads, n_bands, [&](std::size_t band) {
     const std::size_t j0 = band * kTile;
     const std::size_t jl = std::min(kTile, cols - j0);
     for (std::size_t i0 = 0; i0 < rows; i0 += kTile) {
@@ -459,9 +435,8 @@ void gram_xtx(const Tensor& x, double coef, std::span<double> out) {
   if (sq::obs::enabled()) sq::obs::counter("tensor.gram.calls").add();
   // Transposing first makes both operands of every dot product contiguous.
   const Tensor xt = transpose_blocked(x);
-  ThreadPool* pool = kernel_pool();
-  if (sq::common::on_pool_worker()) pool = nullptr;
-  sq::common::parallel_for(pool, d, [&](std::size_t i) {
+  const int threads = kernel_threads();
+  sq::common::parallel_for(threads, d, [&](std::size_t i) {
     const auto xi = xt.row(i);
     for (std::size_t j = 0; j <= i; ++j) {
       const auto xj = xt.row(j);

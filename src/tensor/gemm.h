@@ -45,13 +45,14 @@ struct GemmBlocking {
 /// "avx2" or "base").  Informational: all paths produce identical bits.
 const char* kernel_isa();
 
-/// Worker threads the kernels use: the last set_kernel_threads() value,
-/// else the SQ_THREADS environment variable (sq::common::env_threads; a
-/// malformed or out-of-range value exits 2), else hardware concurrency.
+/// Thread budget of the GEMM and quantization kernels on the process-wide
+/// executor (sq::common::parallel_for): the last set_kernel_threads()
+/// value, else the SQ_THREADS environment variable (sq::common::env_threads;
+/// a malformed or out-of-range value exits 2), else hardware concurrency.
 /// Thread count is a pure wall-clock knob (contract point 2).
 int kernel_threads();
 
-/// Override the kernel thread count (0 = hardware concurrency, 1 = run
+/// Override the kernel thread budget (0 = hardware concurrency, 1 = run
 /// inline on the caller).  Takes effect on the next kernel invocation.
 void set_kernel_threads(int n);
 

@@ -22,6 +22,8 @@ namespace {
 
 using sq::hw::Bitwidth;
 using sq::runtime::FleetJob;
+using sq::runtime::Replanner;
+using sq::runtime::ReplanOutcome;
 using sq::runtime::ReplicaGroup;
 using sq::workload::TimedRequest;
 
@@ -54,9 +56,9 @@ sq::sim::ExecutionPlan plan_over(const sq::model::LlmSpec& m, int stages,
 /// devices of whatever cluster membership produced, predicting throughput
 /// proportional to the devices it can actually use.  Keeps the tests
 /// independent of the real planner's runtime.
-ElasticReplanner test_replanner(const sq::model::LlmSpec& m) {
+Replanner test_replanner(const sq::model::LlmSpec& m) {
   return [&m](const sq::hw::Cluster& c, int) {
-    ElasticReplanOutcome o;
+    ReplanOutcome o;
     if (c.device_count() < 1) {
       o.failure = "no devices";
       return o;

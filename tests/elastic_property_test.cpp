@@ -27,6 +27,8 @@ namespace {
 
 using sq::hw::Bitwidth;
 using sq::runtime::FleetJob;
+using sq::runtime::Replanner;
+using sq::runtime::ReplanOutcome;
 using sq::runtime::ReplicaGroup;
 using sq::runtime::RequestStats;
 using sq::workload::TimedRequest;
@@ -82,9 +84,9 @@ sq::sim::ExecutionPlan plan_over(const sq::model::LlmSpec& m, int stages,
   return p;
 }
 
-ElasticReplanner synthetic_replanner(const sq::model::LlmSpec& m) {
+Replanner synthetic_replanner(const sq::model::LlmSpec& m) {
   return [&m](const sq::hw::Cluster& c, int) {
-    ElasticReplanOutcome o;
+    ReplanOutcome o;
     if (c.device_count() < 1) {
       o.failure = "no devices";
       return o;

@@ -101,11 +101,10 @@ TEST_F(ObsTest, HistogramLayoutMismatchThrows) {
 TEST_F(ObsTest, RegistryConcurrencyIsExactUnderThreadPool) {
   constexpr int kThreads = 8;
   constexpr std::uint64_t kPerTask = 2000;
-  sq::common::ThreadPool pool(kThreads);
   // Every worker hammers the same three instruments plus a per-index one
   // (exercising both the fast path and creation-on-first-use under
   // contention).  Totals must come out exact.
-  sq::common::parallel_for(&pool, kThreads, [&](std::size_t t) {
+  sq::common::parallel_for(kThreads, kThreads, [&](std::size_t t) {
     for (std::uint64_t i = 0; i < kPerTask; ++i) {
       counter("t.shared").add();
       gauge("t.shared_gauge").set(static_cast<double>(t));

@@ -4,6 +4,7 @@
 // PlanResult, bit-for-bit, on the paper clusters.
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -81,6 +82,26 @@ TEST_P(PlannerParallelFixture, BaselinesAreThreadCountInvariant) {
   EXPECT_EQ(fingerprint(planner.plan_uniform(parallel_cfg(4))), uni);
   EXPECT_EQ(fingerprint(planner.plan_het(parallel_cfg(4))), het);
   EXPECT_EQ(fingerprint(planner.plan_adabits(parallel_cfg(4))), ada);
+}
+
+// Planning fans out over the one process-wide executor: once the first
+// plan call grew it, later calls at the same budget start no OS threads.
+TEST(PlannerParallel, RepeatedPlansStartNoThreads) {
+  const auto os_threads = [] {
+    std::error_code ec;
+    std::filesystem::directory_iterator it("/proc/self/task", ec);
+    return ec ? -1L : std::distance(it, std::filesystem::directory_iterator{});
+  };
+  if (os_threads() < 0) GTEST_SKIP() << "no /proc/self/task";
+  Harness h(sq::model::ModelId::kQwen25_14B, 3, {64, 1024, 64, 2048});
+  const Planner planner(h.model, h.cluster, h.inputs.workload, h.latency,
+                        h.quality);
+  const std::string want = fingerprint(planner.plan(parallel_cfg(4)));
+  const long warm = os_threads();
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(fingerprint(planner.plan(parallel_cfg(4))), want);
+  }
+  EXPECT_EQ(os_threads(), warm);
 }
 
 INSTANTIATE_TEST_SUITE_P(
