@@ -11,7 +11,10 @@
 //   SQ_BENCH_SMOKE=1            fixed {1, 2} settings for the CI gate
 //   SQ_BENCH_JSON_DIR=<dir>     emit BENCH_plan_search_speedup.json; the
 //                               plans fingerprint is gated (must never
-//                               change), wall-clock columns are not
+//                               change), wall-clock columns are not, and
+//                               the branch-and-bound node and simplex
+//                               pivot totals are recorded so a solver
+//                               regression shows in the artifact
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -66,10 +69,16 @@ std::vector<int> thread_settings() {
   return out;
 }
 
+/// Solver work summed over a sweep's plan calls.
+struct SolverWork {
+  long ilp_nodes = 0;
+  long lp_pivots = 0;
+};
+
 /// One full scheme sweep over every case at `threads` workers; returns
-/// wall-clock seconds and appends each chosen plan's serialized form to
-/// `plans`.
-double sweep_once(int threads, std::vector<std::string>* plans) {
+/// wall-clock seconds, appends each chosen plan's serialized form to
+/// `plans` and adds the solver work to `work`.
+double sweep_once(int threads, std::vector<std::string>* plans, SolverWork* work) {
   double total = 0.0;
   for (const CaseDef& c : kCases) {
     const auto reqs = sq::workload::sample(
@@ -96,6 +105,8 @@ double sweep_once(int threads, std::vector<std::string>* plans) {
     for (const auto* r : {&uni, &het, &sqr}) {
       plans->push_back(r->feasible ? sq::sim::plan_to_string(r->plan)
                                    : "infeasible");
+      work->ilp_nodes += r->ilp_nodes;
+      work->lp_pivots += r->lp_pivots;
     }
   }
   return total;
@@ -109,7 +120,8 @@ int main() {
               "on %zu cells\nhardware threads: %u\n",
               std::size(kCases), std::thread::hardware_concurrency());
   sq::bench::rule(72);
-  std::printf("%-12s %12s %12s   %s\n", "threads", "search(s)", "speedup", "");
+  std::printf("%-12s %12s %12s %10s %10s   %s\n", "threads", "search(s)", "speedup",
+              "ilp nodes", "pivots", "");
 
   sq::bench::BenchReport report("plan_search_speedup");
   report.meta("smoke",
@@ -121,7 +133,8 @@ int main() {
   bool all_identical = true;
   for (const int t : settings) {
     std::vector<std::string> plans;
-    const double s = sweep_once(t, &plans);
+    SolverWork work;
+    const double s = sweep_once(t, &plans, &work);
     if (base == 0.0) {
       base = s;
       base_plans = plans;
@@ -133,8 +146,8 @@ int main() {
                                ? 100.0 * static_cast<double>(ks.hits) /
                                      static_cast<double>(ks.hits + ks.misses)
                                : 0.0;
-    std::printf("%-12d %12.2f %11.2fx   stage cache %.1f%% hit\n", t, s,
-                base / s, hit_pct);
+    std::printf("%-12d %12.2f %11.2fx %10ld %10ld   stage cache %.1f%% hit\n", t, s,
+                base / s, work.ilp_nodes, work.lp_pivots, hit_pct);
 
     std::string all;
     for (const auto& p : plans) all += p;
@@ -142,6 +155,8 @@ int main() {
     row["threads"] = static_cast<std::int64_t>(t);
     row["search_s"] = s;  // wall-clock: recorded, never gated
     row["stage_cache_hit_pct"] = hit_pct;
+    row["ilp_nodes"] = static_cast<std::int64_t>(work.ilp_nodes);  // informational
+    row["lp_pivots"] = static_cast<std::int64_t>(work.lp_pivots);  // informational
     row["plans_fingerprint"] = sq::bench::fingerprint_text(all);
   }
   std::printf("plans identical across all thread settings: %s\n",

@@ -55,8 +55,9 @@ int main() {
               static_cast<unsigned long long>(result.planned_batch));
   std::printf("         est. perplexity %.2f (fp16 baseline %.2f)\n",
               result.est_ppl, quality.base_ppl());
-  std::printf("         assigner took %.2fs (%d ILP solves, %d B&B nodes)\n\n",
-              result.solve_seconds, result.ilp_solves, result.ilp_nodes);
+  std::printf(
+      "         assigner took %.2fs (%d ILP solves, %d B&B nodes, %ld LP pivots)\n\n",
+      result.solve_seconds, result.ilp_solves, result.ilp_nodes, result.lp_pivots);
 
   // 5. Serve.
   const runtime::OfflineEngine engine(cluster, model, result.plan);

@@ -13,40 +13,36 @@ constexpr double kGiB = 1024.0 * 1024.0 * 1024.0;
 
 }  // namespace
 
-IlpOutcome solve_ilp(const PlanContext& ctx, const std::optional<HeuristicPlan>& warm,
-                     const sq::solver::MilpOptions& opts, bool quality_only) {
+IlpModel build_ilp(const PlanContext& ctx, bool quality_only) {
   using sq::solver::Constraint;
-  using sq::solver::LpProblem;
   using sq::solver::Sense;
-  using sq::solver::Term;
 
   const int G = ctx.num_groups(), J = ctx.num_stages(), B = ctx.num_bits();
   const double theta = ctx.inputs().theta;
 
-  LpProblem p;
+  IlpModel model;
+  sq::solver::LpProblem& p = model.problem;
   // z variables, objective (4): per-group latency sums + theta * omega.
-  std::vector<int> z(static_cast<std::size_t>(G) * J * B);
+  std::vector<int>& z = model.binaries;
+  z.reserve(static_cast<std::size_t>(G) * J * B);
   auto zid = [&](int g, int j, int bi) {
     return z[(static_cast<std::size_t>(g) * J + static_cast<std::size_t>(j)) * B +
              static_cast<std::size_t>(bi)];
   };
-  std::vector<int> binaries;
-  binaries.reserve(z.size());
   for (int g = 0; g < G; ++g) {
     for (int j = 0; j < J; ++j) {
       for (int bi = 0; bi < B; ++bi) {
         double coeff = theta * ctx.omega(g, bi);
         if (!quality_only) coeff += ctx.l_pre(g, j, bi) + ctx.l_dec(g, j, bi);
-        const int v = p.add_variable(coeff);
-        z[(static_cast<std::size_t>(g) * J + static_cast<std::size_t>(j)) * B +
-          static_cast<std::size_t>(bi)] = v;
-        binaries.push_back(v);
+        z.push_back(p.add_variable(coeff));
       }
     }
   }
   // Straggler variables.
   const int t_pre = p.add_variable(quality_only ? 0.0 : ctx.t_pre_coeff(), "Tpre");
   const int t_dec = p.add_variable(quality_only ? 0.0 : ctx.t_dec_coeff(), "Tdec");
+  model.t_pre = t_pre;
+  model.t_dec = t_dec;
 
   // (9)-(11): exactly one (stage, bit) per group.
   for (int g = 0; g < G; ++g) {
@@ -147,6 +143,20 @@ IlpOutcome solve_ilp(const PlanContext& ctx, const std::optional<HeuristicPlan>&
     p.add_constraint(std::move(c));
   }
 
+  return model;
+}
+
+IlpOutcome solve_ilp(const PlanContext& ctx, const std::optional<HeuristicPlan>& warm,
+                     const sq::solver::MilpOptions& opts, bool quality_only) {
+  const int G = ctx.num_groups(), J = ctx.num_stages(), B = ctx.num_bits();
+  const IlpModel model = build_ilp(ctx, quality_only);
+  const sq::solver::LpProblem& p = model.problem;
+  auto zid = [&](int g, int j, int bi) {
+    const auto k = (static_cast<std::size_t>(g) * J + static_cast<std::size_t>(j)) * B +
+                   static_cast<std::size_t>(bi);
+    return model.binaries[k];
+  };
+
   // Warm start: expand a heuristic assignment into the variable space.
   std::vector<double> warm_x;
   if (warm) {
@@ -156,15 +166,16 @@ IlpOutcome solve_ilp(const PlanContext& ctx, const std::optional<HeuristicPlan>&
           zid(g, warm->group_stage[static_cast<std::size_t>(g)],
               warm->group_bit[static_cast<std::size_t>(g)]))] = 1.0;
     }
-    warm_x[static_cast<std::size_t>(t_pre)] = warm->eval.t_pre_max;
-    warm_x[static_cast<std::size_t>(t_dec)] = warm->eval.t_dec_max;
+    warm_x[static_cast<std::size_t>(model.t_pre)] = warm->eval.t_pre_max;
+    warm_x[static_cast<std::size_t>(model.t_dec)] = warm->eval.t_dec_max;
   }
 
   const sq::solver::BranchAndBound bb(opts);
-  const auto r = bb.solve(p, binaries, warm_x);
+  const auto r = bb.solve(p, model.binaries, warm_x);
 
   IlpOutcome out;
   out.nodes = r.nodes;
+  out.lp_pivots = r.lp_pivots;
   out.seconds = r.seconds;
   out.best_bound = r.best_bound;
   out.hit_time_limit = r.hit_time_limit;

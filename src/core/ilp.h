@@ -27,6 +27,17 @@
 
 namespace sq::core {
 
+/// The MILP of one PlanContext, as handed to the solver.
+struct IlpModel {
+  sq::solver::LpProblem problem;
+  std::vector<int> binaries;  ///< z_{g,j,b} at index (g * J + j) * B + b.
+  int t_pre = -1;             ///< Straggler time variables.
+  int t_dec = -1;
+};
+
+/// Build the MILP for `ctx` (see solve_ilp for `quality_only`).
+IlpModel build_ilp(const PlanContext& ctx, bool quality_only = false);
+
 /// Result of one ILP solve.
 struct IlpOutcome {
   bool feasible = false;
@@ -34,6 +45,7 @@ struct IlpOutcome {
   double objective = 0.0;    ///< MILP objective (matches plan.eval.objective).
   double best_bound = 0.0;   ///< Solver lower bound.
   int nodes = 0;             ///< B&B nodes.
+  long lp_pivots = 0;        ///< Simplex pivots over every node.
   double seconds = 0.0;      ///< Solve wall time.
   bool hit_time_limit = false;
   bool proven_optimal = false;

@@ -405,6 +405,7 @@ PlanResult Planner::plan(const PlannerConfig& cfg) const {
       const auto& out = outs[static_cast<std::size_t>(i)];
       ++result.ilp_solves;
       result.ilp_nodes += out.nodes;
+      result.lp_pivots += out.lp_pivots;
       if (out.feasible && normalized(out.plan.eval, c.input) < c.norm_obj) {
         c.seed = out.plan;
         c.norm_obj = normalized(out.plan.eval, c.input);
@@ -421,6 +422,8 @@ PlanResult Planner::plan(const PlannerConfig& cfg) const {
         .add(static_cast<std::uint64_t>(result.ilp_solves));
     sq::obs::counter("planner.ilp.nodes")
         .add(static_cast<std::uint64_t>(result.ilp_nodes));
+    sq::obs::counter("planner.ilp.pivots")
+        .add(static_cast<std::uint64_t>(result.lp_pivots));
     observe_phase_s("planner.time.ilp_s", seconds_since(phase_t0));
     phase_t0 = Clock::now();
   }
@@ -472,6 +475,7 @@ PlanResult Planner::plan(const PlannerConfig& cfg) const {
   r.pairs_tried = result.pairs_tried;
   r.ilp_solves = result.ilp_solves;
   r.ilp_nodes = result.ilp_nodes;
+  r.lp_pivots = result.lp_pivots;
 
   // Dominance check: the Uniform, Het and AdaBits configurations are points
   // of SplitQuant's own search space; if cost-model error ranked them below

@@ -78,6 +78,7 @@ struct PlanResult {
   double solve_seconds = 0.0;       ///< Total assigner wall time.
   int ilp_solves = 0;               ///< MILP invocations.
   int ilp_nodes = 0;                ///< Total B&B nodes.
+  long lp_pivots = 0;               ///< Total simplex pivots in those nodes.
   int topologies_tried = 0;
   int pairs_tried = 0;
 };

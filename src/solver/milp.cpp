@@ -14,9 +14,12 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// An open node: its fixings (kFree, 0 or 1 per variable) and the optimal
+/// basis of its parent, which the node's LP re-optimizes from.  The root
+/// has no basis and solves cold.
 struct Node {
-  std::vector<std::uint8_t> fixed_mask;
-  std::vector<double> fixed_value;
+  std::vector<std::int8_t> fix;
+  std::shared_ptr<const std::vector<int>> basis;
   double parent_bound = -std::numeric_limits<double>::infinity();
   int depth = 0;
 };
@@ -113,7 +116,7 @@ MilpResult BranchAndBound::solve(const LpProblem& p, const std::vector<int>& bin
   };
 
   MilpResult res;
-  const SimplexSolver lp;
+  WarmSimplex lp(p);
   const int n = p.num_vars();
 
   double incumbent = std::numeric_limits<double>::infinity();
@@ -128,14 +131,16 @@ MilpResult BranchAndBound::solve(const LpProblem& p, const std::vector<int>& bin
       open;
   {
     auto root = std::make_shared<Node>();
-    root->fixed_mask.assign(static_cast<std::size_t>(n), 0);
-    root->fixed_value.assign(static_cast<std::size_t>(n), 0.0);
+    root->fix.assign(static_cast<std::size_t>(n), kFree);
     open.push(std::move(root));
   }
 
   const std::vector<OneHotSet> sets = one_hot_sets(p, binary_vars);
   double global_bound = -std::numeric_limits<double>::infinity();
   bool truncated = false;
+  // Lowest parent bound of a node whose LP gave no answer (unbounded or
+  // iteration cap): the search cannot prove anything below it.
+  double skipped_bound = std::numeric_limits<double>::infinity();
 
   while (!open.empty()) {
     if (res.nodes >= opts_.max_nodes || elapsed() >= opts_.time_limit_s) {
@@ -154,16 +159,14 @@ MilpResult BranchAndBound::solve(const LpProblem& p, const std::vector<int>& bin
       break;
     }
 
-    const LpSolution rel = lp.solve(p, node->fixed_mask, node->fixed_value);
+    const LpSolution rel =
+        node->basis ? lp.solve_warm(node->fix, *node->basis) : lp.solve_cold(node->fix);
     ++res.nodes;
     if (rel.status == LpStatus::kInfeasible) continue;
-    if (rel.status == LpStatus::kUnbounded) {
-      // Relaxation unbounded at the root means the MILP is ill-posed;
-      // deeper in the tree it cannot improve a bounded incumbent safely —
-      // treat as no information and skip.
+    if (rel.status != LpStatus::kOptimal) {
+      skipped_bound = std::min(skipped_bound, node->parent_bound);
       continue;
     }
-    if (rel.status == LpStatus::kIterLimit) continue;
     if (rel.objective >= incumbent - std::abs(incumbent) * opts_.rel_gap) continue;
 
     const SetSplit split = best_set_split(sets, rel.x, opts_.int_tol);
@@ -182,15 +185,14 @@ MilpResult BranchAndBound::solve(const LpProblem& p, const std::vector<int>& bin
       continue;
     }
 
-    // A child pins `vars` to `val` on top of this node's fixings.
-    auto push_child = [&](std::span<const int> vars, double val) {
+    // A child pins `vars` to `val` on top of this node's fixings and
+    // starts from this node's basis.
+    const auto basis = std::make_shared<const std::vector<int>>(lp.basis());
+    auto push_child = [&](std::span<const int> vars, std::int8_t val) {
       auto child = std::make_shared<Node>();
-      child->fixed_mask = node->fixed_mask;
-      child->fixed_value = node->fixed_value;
-      for (const int v : vars) {
-        child->fixed_mask[static_cast<std::size_t>(v)] = 1;
-        child->fixed_value[static_cast<std::size_t>(v)] = val;
-      }
+      child->fix = node->fix;
+      for (const int v : vars) child->fix[static_cast<std::size_t>(v)] = val;
+      child->basis = basis;
       child->parent_bound = rel.objective;
       child->depth = node->depth + 1;
       open.push(std::move(child));
@@ -199,26 +201,31 @@ MilpResult BranchAndBound::solve(const LpProblem& p, const std::vector<int>& bin
       // One child keeps the one inside the prefix (suffix fixed to 0), the
       // other inside the suffix (prefix fixed to 0).
       const std::span<const int> s = sets[static_cast<std::size_t>(split.set)];
-      push_child(s.subspan(split.split + 1), 0.0);
-      push_child(s.first(split.split + 1), 0.0);
+      push_child(s.subspan(split.split + 1), 0);
+      push_child(s.first(split.split + 1), 0);
       continue;
     }
     const double frac = rel.x[static_cast<std::size_t>(branch_var)];
     // Child closer to the LP value is pushed last-equal-bound so the queue
     // dives toward it first.
-    for (const double val : {frac >= 0.5 ? 1.0 : 0.0, frac >= 0.5 ? 0.0 : 1.0}) {
+    const std::int8_t nearer = frac >= 0.5 ? 1 : 0;
+    for (const std::int8_t val : {nearer, static_cast<std::int8_t>(1 - nearer)}) {
       push_child({&branch_var, 1}, val);
     }
   }
 
   res.seconds = elapsed();
+  res.lp_pivots = lp.pivots();
   if (!truncated && open.empty()) {
     global_bound = incumbent;  // Search exhausted.
   }
   res.best_bound = std::isfinite(global_bound) ? global_bound : incumbent;
+  res.best_bound = std::min(res.best_bound, skipped_bound);
+  const bool skipped = skipped_bound < std::numeric_limits<double>::infinity();
 
   if (incumbent_x.empty()) {
-    res.status = truncated ? MilpStatus::kNoSolution : MilpStatus::kInfeasible;
+    res.status =
+        truncated || skipped ? MilpStatus::kNoSolution : MilpStatus::kInfeasible;
     return res;
   }
   res.objective = incumbent;
@@ -226,8 +233,8 @@ MilpResult BranchAndBound::solve(const LpProblem& p, const std::vector<int>& bin
   const double gap = std::abs(incumbent) > 0
                          ? (incumbent - res.best_bound) / std::abs(incumbent)
                          : incumbent - res.best_bound;
-  const bool proven =
-      !truncated || (std::isfinite(global_bound) && gap <= opts_.rel_gap);
+  const bool proven = truncated ? std::isfinite(global_bound) && gap <= opts_.rel_gap
+                                : !skipped || gap <= opts_.rel_gap;
   res.status = proven ? MilpStatus::kOptimal : MilpStatus::kFeasible;
   return res;
 }

@@ -2,10 +2,18 @@
 //
 // Plays GUROBI's role for the assigner ILP: binary decision variables
 // (layer-to-device-at-bitwidth assignments) plus continuous ones (the
-// straggler times T_max).  Branching fixes binaries by substitution — no
-// bound rows — relying on the formulation's assignment equalities to cap
-// relaxed binaries at 1.  Supports a wall-clock time limit (Table VI runs
-// the solver with a 60 s cap) and warm-start incumbents from heuristics.
+// straggler times T_max).  Branching pins binaries at 0 or 1 — no bound
+// rows — relying on the formulation's assignment equalities to cap relaxed
+// binaries at 1.  Supports a wall-clock time limit (Table VI runs the
+// solver with a 60 s cap) and warm-start incumbents from heuristics.
+//
+// Node LPs: each solve owns one WarmSimplex tableau.  The root solves cold
+// (two-phase primal); every other node stores only its fixings (one int8
+// per variable) and its parent's optimal basis, and re-optimizes the live
+// tableau from that basis with dual simplex.  A node whose LP is unbounded
+// or hits the iteration cap gives no bound, so the search cannot be proven
+// below it: the result is then kFeasible / kNoSolution with best_bound
+// capped at that node's parent bound.
 //
 // Branching rule: one-hot sets first.  Every equality row whose terms are
 // all binaries with coefficient 1 and whose rhs is 1 is a set (in the
@@ -35,9 +43,10 @@ struct MilpOptions {
 /// Result status of a MILP solve.
 enum class MilpStatus {
   kOptimal,     ///< Proven optimal within gap.
-  kFeasible,    ///< Incumbent found but search truncated (time/node cap).
+  kFeasible,    ///< Incumbent found, optimality unproven (time/node cap, or
+                ///< a node LP without an answer).
   kInfeasible,  ///< No integer-feasible point exists.
-  kNoSolution,  ///< Truncated before any incumbent was found.
+  kNoSolution,  ///< No incumbent, and infeasibility unproven.
 };
 
 /// Outcome of a MILP solve.
@@ -47,6 +56,7 @@ struct MilpResult {
   std::vector<double> x;       ///< Incumbent point (size num_vars).
   double best_bound = 0.0;     ///< Global lower bound at termination.
   int nodes = 0;               ///< B&B nodes explored.
+  long lp_pivots = 0;          ///< Simplex pivots over every node's LP.
   double seconds = 0.0;        ///< Wall-clock solve time.
   bool hit_time_limit = false;
 };

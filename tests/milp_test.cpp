@@ -122,6 +122,9 @@ TEST(Milp, TimeLimitProducesIncumbentAndBound) {
   const MilpResult cut = BranchAndBound(tight).solve(p, bins);
   EXPECT_TRUE(cut.hit_time_limit);
   EXPECT_NE(cut.status, MilpStatus::kOptimal);
+  // A warm-start incumbent is not proven either when no node was solved.
+  const MilpResult cut_warm = BranchAndBound(tight).solve(p, bins, full.x);
+  EXPECT_EQ(cut_warm.status, MilpStatus::kFeasible);
 }
 
 TEST(Milp, NodeCapRespected) {
@@ -150,6 +153,52 @@ TEST(Milp, ContinuousVariablesStayFractional) {
   ASSERT_EQ(r.status, MilpStatus::kOptimal);
   EXPECT_NEAR(r.x[static_cast<std::size_t>(b)], 1.0, 1e-9);
   EXPECT_NEAR(r.x[static_cast<std::size_t>(t)], 0.5, 1e-9);
+}
+
+// min x - y s.t. x <= 1, y - x >= 0, x binary: y grows without bound, so
+// the root relaxation is unbounded.  A node whose LP gives no answer must
+// leave the search unproven, not report the MILP infeasible or optimal.
+LpProblem unbounded_milp() {
+  LpProblem p;
+  const int x = p.add_variable(1.0);
+  const int y = p.add_variable(-1.0);
+  p.add_constraint({{{x, 1.0}}, Sense::kLe, 1.0, ""});
+  p.add_constraint({{{y, 1.0}, {x, -1.0}}, Sense::kGe, 0.0, ""});
+  return p;
+}
+
+TEST(Milp, UnboundedRelaxationIsNotInfeasible) {
+  const LpProblem p = unbounded_milp();
+  const MilpResult r = BranchAndBound().solve(p, {0});
+  EXPECT_EQ(r.status, MilpStatus::kNoSolution);
+  EXPECT_EQ(r.nodes, 1);
+}
+
+TEST(Milp, UnboundedRelaxationDoesNotProveTheWarmStart) {
+  const LpProblem p = unbounded_milp();
+  const std::vector<double> warm = {1.0, 5.0};  // feasible, objective -4
+  const MilpResult r = BranchAndBound().solve(p, {0}, warm);
+  EXPECT_EQ(r.status, MilpStatus::kFeasible);
+  EXPECT_NEAR(r.objective, -4.0, 1e-12);
+  EXPECT_LT(r.best_bound, r.objective);  // the unbounded root caps the bound
+}
+
+TEST(Milp, CountsPivotsOverEveryNode) {
+  // The rounding instance above branches, so every node after the root
+  // re-solves warm; the pivot count covers them all and repeats run to run.
+  LpProblem p;
+  const int x1 = p.add_variable(-1.0);
+  const int x2 = p.add_variable(-1.0);
+  p.add_constraint({{{x1, 2.0}, {x2, 2.0}}, Sense::kLe, 3.0, ""});
+  p.add_constraint({{{x1, 1.0}}, Sense::kLe, 1.0, ""});
+  p.add_constraint({{{x2, 1.0}}, Sense::kLe, 1.0, ""});
+  const MilpResult a = BranchAndBound().solve(p, {x1, x2});
+  const MilpResult b = BranchAndBound().solve(p, {x1, x2});
+  ASSERT_EQ(a.status, MilpStatus::kOptimal);
+  EXPECT_GT(a.nodes, 1);
+  EXPECT_GT(a.lp_pivots, 0);
+  EXPECT_EQ(a.lp_pivots, b.lp_pivots);
+  EXPECT_EQ(a.nodes, b.nodes);
 }
 
 }  // namespace

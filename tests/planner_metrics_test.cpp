@@ -41,6 +41,7 @@ std::string fingerprint(const PlanResult& r) {
   s += buf;
   s += "ilp_solves=" + std::to_string(r.ilp_solves) + "\n";
   s += "ilp_nodes=" + std::to_string(r.ilp_nodes) + "\n";
+  s += "lp_pivots=" + std::to_string(r.lp_pivots) + "\n";
   s += "topologies=" + std::to_string(r.topologies_tried) + "\n";
   s += "pairs=" + std::to_string(r.pairs_tried) + "\n";
   if (r.feasible) s += sq::sim::plan_to_string(r.plan);
@@ -67,7 +68,8 @@ TEST_P(PlannerMetricsFixture, PlanBitIdenticalWithMetricsOnVsOff) {
                         h.quality);
 
   sq::sim::stage_cache_clear();
-  const std::string off = fingerprint(planner.plan(metrics_cfg(1)));
+  const PlanResult plain = planner.plan(metrics_cfg(1));
+  const std::string off = fingerprint(plain);
 
   sq::obs::set_enabled(true);
   EXPECT_EQ(fingerprint(planner.plan(metrics_cfg(1))), off) << "sequential";
@@ -75,13 +77,17 @@ TEST_P(PlannerMetricsFixture, PlanBitIdenticalWithMetricsOnVsOff) {
 
   // The instrumented searches recorded the expected counters...
   const auto snap = sq::obs::Registry::global().snapshot();
-  std::uint64_t evaluated = 0, plans = 0;
+  std::uint64_t evaluated = 0, plans = 0, nodes = 0, pivots = 0;
   for (const auto& c : snap.counters) {
     if (c.name == "planner.candidates.evaluated") evaluated = c.value;
     if (c.name == "planner.plans") plans = c.value;
+    if (c.name == "planner.ilp.nodes") nodes = c.value;
+    if (c.name == "planner.ilp.pivots") pivots = c.value;
   }
   EXPECT_GT(evaluated, 0u);
   EXPECT_EQ(plans, 2u);
+  EXPECT_EQ(nodes, 2u * static_cast<std::uint64_t>(plain.ilp_nodes));
+  EXPECT_EQ(pivots, 2u * static_cast<std::uint64_t>(plain.lp_pivots));
   // ...and no ordered spans: the search fans out across threads, where
   // only order-independent aggregates are deterministic.
   EXPECT_TRUE(snap.spans.empty());

@@ -45,6 +45,7 @@ std::string fingerprint(const PlanResult& r) {
   s += buf;
   s += "ilp_solves=" + std::to_string(r.ilp_solves) + "\n";
   s += "ilp_nodes=" + std::to_string(r.ilp_nodes) + "\n";
+  s += "lp_pivots=" + std::to_string(r.lp_pivots) + "\n";
   s += "topologies=" + std::to_string(r.topologies_tried) + "\n";
   s += "pairs=" + std::to_string(r.pairs_tried) + "\n";
   if (r.feasible) s += sq::sim::plan_to_string(r.plan);
